@@ -624,89 +624,12 @@ void BM_FleetPlacementIndexed(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetPlacementIndexed)->Unit(benchmark::kMillisecond);
 
-// One epoch-sized arrival burst against a 4000-machine index: 32 tenants
-// decided and committed through PlacementEngine::place_arrivals after 32
-// random departures reopen slots (the steady-state churn shape). Serial
-// runs the engine without a pool — the sequential decide-then-commit
-// loop; Parallel shards the speculative scoring over 8 workers and
-// commits in order. Decisions are byte-identical by construction (the
-// ParallelCp suite pins them), so the Serial/Parallel ratio is pure
-// pipeline speedup; bench_compare.py --speedup gates Parallel >= 2x
-// Serial on the multi-core CI runners.
-void fleet_arrival_burst_bench(benchmark::State& state, bool parallel) {
-  const auto& catalog = sim::default_catalog();
-  const sim::MachineConfig mc;
-  const fleet::AppDirectory dir(catalog, mc);
-  constexpr unsigned kMachines = 4000;
-  constexpr unsigned kBeSlots = 5;
-  constexpr std::size_t kBurst = 32;
-  fleet::PlacementIndex index(dir, kBeSlots);
-  util::Xoshiro256 rng(7);
-  // ~60% BE-slot occupancy, as in fleet_placement_bench.
-  for (unsigned m = 0; m < kMachines; ++m) {
-    index.add_machine(&catalog.at(rng.below(catalog.size())));
-    for (unsigned c = 1; c <= kBeSlots; ++c) {
-      if (rng.below(100) < 60) {
-        index.admit(m, c, &catalog.at(rng.below(catalog.size())));
-      }
-    }
-  }
-  fleet::MrcBestFitPlacement engine(dir);
-  std::unique_ptr<util::ThreadPool> pool;
-  if (parallel) {
-    pool = std::make_unique<util::ThreadPool>(8);
-    engine.set_parallel(pool.get(), 8);
-  }
-  std::vector<const sim::AppProfile*> apps;
-  for (auto _ : state) {
-    for (std::size_t d = 0; d < kBurst;) {
-      const auto m = static_cast<unsigned>(rng.below(kMachines));
-      const unsigned c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
-      if (index.tenant(m, c)) {
-        index.detach(m, c);
-        ++d;
-      }
-    }
-    apps.clear();
-    for (std::size_t j = 0; j < kBurst; ++j) {
-      apps.push_back(&catalog.at(rng.below(catalog.size())));
-    }
-    engine.place_arrivals(
-        apps, index, [&](std::size_t j, std::optional<unsigned> dest) {
-          if (!dest) return;
-          for (unsigned c = 1; c <= kBeSlots; ++c) {
-            if (!index.tenant(*dest, c)) {
-              index.admit(*dest, c, apps[j]);
-              break;
-            }
-          }
-        });
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kBurst));
-  state.counters["machines"] = static_cast<double>(kMachines);
-  state.counters["burst"] = static_cast<double>(kBurst);
-}
-
-void BM_FleetArrivalBurstSerial(benchmark::State& state) {
-  fleet_arrival_burst_bench(state, /*parallel=*/false);
-}
-BENCHMARK(BM_FleetArrivalBurstSerial)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FleetArrivalBurstParallel(benchmark::State& state) {
-  fleet_arrival_burst_bench(state, /*parallel=*/true);
-}
-BENCHMARK(BM_FleetArrivalBurstParallel)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // A churn-heavy epoch at fleet scale: 10k machines, ~400 arrivals/sec into
-// mrc placement. The cluster is built once and stepped across benchmark
-// batches (tenant population reaches steady state after the first epochs),
-// so each iteration is one production-shaped epoch: control plane +
-// sharded data plane + ordered reduction.
+// mrc placement. The cluster is built once and warmed for five mean
+// lifetimes (40 epochs, the rule the e2ebench fleets use) before the first
+// timed iteration, so every iteration is one steady-state epoch — control
+// plane + sharded data plane + ordered reduction — and neither ms/epoch
+// nor the `tenants` counter depends on how many iterations ran.
 void BM_FleetEpochChurn(benchmark::State& state) {
   static fleet::Cluster* cluster = [] {
     fleet::FleetConfig fc;
@@ -715,7 +638,9 @@ void BM_FleetEpochChurn(benchmark::State& state) {
     fc.churn.arrival_rate_per_sec = 400.0;
     fc.churn.mean_lifetime_sec = 8.0;
     fc.placement = "mrc";
-    return new fleet::Cluster(fc, sim::default_catalog());
+    auto* c = new fleet::Cluster(fc, sim::default_catalog());
+    for (int e = 0; e < 40; ++e) c->step_epoch();  // 5 x 8 s lifetimes
+    return c;
   }();
   for (auto _ : state) {
     const auto m = cluster->step_epoch();

@@ -9,10 +9,10 @@
 //
 // Shares every fleet-shape flag with fleet_sim (--machines, --policy,
 // --placement, --arrival-rate, --seed, --jobs, ...; see
-// examples/fleet_common.hpp). On a TTY each epoch repaints the screen in
-// place (ANSI home+clear); --plain (or a non-TTY stdout, e.g. CI logs)
-// appends frames instead. --refresh-ms throttles the repaint so a human
-// can watch a fast simulation.
+// examples/fleet_common.hpp); any other flag is an error (exit 2). On a
+// TTY each epoch repaints the screen in place (ANSI home+clear); --plain
+// (or a non-TTY stdout, e.g. CI logs) appends frames instead. --refresh-ms
+// throttles the repaint so a human can watch a fast simulation.
 //
 // The alert fires while
 //   mean(occupied SLO-violation rate over --burn-window epochs)
@@ -48,7 +48,9 @@ static int run(int argc, char** argv) {
   dc.burn_window = static_cast<unsigned>(args.get_int("burn-window", 5));
   dc.slo_budget = args.get_double("slo-budget", 0.05);
   dc.burn_alert = args.get_double("burn-alert", 2.0);
-  dc.ansi = tty && !args.get_bool("plain", false);
+  const bool plain = args.get_bool("plain", false);
+  dc.ansi = tty && !plain;
+  args.reject_unknown();
 
   fleet::Cluster cluster(fc, catalog);
   fleet::Dashboard dash(dc);

@@ -58,12 +58,6 @@ DEFAULT_BENCHES = [
     "BM_FleetPlacementFullScan",
     "BM_FleetPlacementIndexed",
     "BM_FleetEpochChurn/real_time",
-    # The optimistic arrival pipeline: one 32-tenant burst against a
-    # 4000-machine index, sequential decide+commit vs speculative scoring
-    # over 8 workers with in-order commits; --speedup pins the parallel
-    # pipeline >= 2x faster on the multi-core CI runners.
-    "BM_FleetArrivalBurstSerial/real_time",
-    "BM_FleetArrivalBurstParallel/real_time",
 ]
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

@@ -92,11 +92,8 @@ class PlacementIndex {
       std::optional<unsigned> exclude = std::nullopt) const;
 
   /// Monotone index-wide mutation counter: every admit/detach, on any
-  /// machine, bumps it by exactly one. The optimistic arrival pipeline
-  /// uses it to audit its commit contract — a commit callback must mutate
-  /// the index exactly once (the admit onto the decided machine) or not
-  /// at all (a rejection), and any other interleaved mutation would
-  /// silently invalidate the pipeline's speculative scores.
+  /// machine, bumps it by exactly one — the control plane's churn, read
+  /// by benchmarks as a per-window delta.
   std::uint64_t mutations() const noexcept { return mutations_; }
 
   // --- dirty-score protocol (driven by the MRC engines) ---

@@ -26,9 +26,13 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   }
 }
 
-bool CliArgs::has(const std::string& key) const { return kv_.count(key) > 0; }
+bool CliArgs::has(const std::string& key) const {
+  read_.insert(key);
+  return kv_.count(key) > 0;
+}
 
 std::optional<std::string> CliArgs::get(const std::string& key) const {
+  read_.insert(key);
   const auto it = kv_.find(key);
   if (it == kv_.end()) return std::nullopt;
   return it->second;
@@ -80,6 +84,12 @@ bool CliArgs::get_bool(const std::string& key, bool def) const {
   if (*v == "1" || *v == "true" || *v == "yes" || *v == "on") return true;
   if (*v == "0" || *v == "false" || *v == "no" || *v == "off") return false;
   bad_value(key, *v, "boolean (true/false/1/0/yes/no/on/off)");
+}
+
+void CliArgs::reject_unknown() const {
+  for (const auto& [key, value] : kv_) {
+    if (read_.count(key) == 0) throw CliError("unknown flag --" + key);
+  }
 }
 
 int cli_main_guard(const char* program, const std::function<int()>& body) {

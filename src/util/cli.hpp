@@ -3,14 +3,17 @@
 //
 // Numeric getters are strict: the whole value must parse ("4x", "abc",
 // "1.5.2" and out-of-range numbers all throw CliError), so a typo fails
-// loudly instead of silently becoming 0. Front-ends catch CliError at the
-// top of main (see cli_main_guard) and turn it into a one-line error plus
-// a non-zero exit.
+// loudly instead of silently becoming 0. Every getter and has() records
+// the key it read; a front-end that has read all its flags calls
+// reject_unknown() so a misspelled or retired flag fails loudly too.
+// Front-ends catch CliError at the top of main (see cli_main_guard) and
+// turn it into a one-line error plus a non-zero exit.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -38,6 +41,9 @@ class CliArgs {
   /// Strict floating-point flag: same contract as get_int.
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
+  /// Throw CliError("unknown flag --X") for the first flag (in key order)
+  /// that no getter or has() has read. Call it once every flag is read.
+  void reject_unknown() const;
 
   /// Non-flag positional arguments in order.
   const std::vector<std::string>& positional() const noexcept {
@@ -49,6 +55,7 @@ class CliArgs {
   std::string program_;
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;  ///< keys a getter or has() asked for
 };
 
 /// Run `body` and translate CliError (and std::exception generally) into a

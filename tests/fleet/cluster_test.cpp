@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/core/catalog.hpp"
+#include "telemetry/exposition.hpp"
+#include "telemetry/registry.hpp"
+#include "telemetry/trace_counter_sink.hpp"
+#include "util/cli.hpp"
+#include "util/timer.hpp"
+#include "util/trace.hpp"
+
+#include "../../examples/fleet_common.hpp"
 
 namespace dicer::fleet {
 namespace {
@@ -29,6 +39,67 @@ std::string run_csv(const FleetConfig& fc, std::uint64_t epochs) {
     csv += epoch_csv_row(row) + "\n";
   }
   return csv;
+}
+
+/// Churn-heavy: multi-arrival epochs, migrations every violating epoch
+/// (excluded decisions), 64 machines so the data plane has real shards.
+FleetConfig churny_config(const std::string& placement) {
+  FleetConfig fc = small_config();
+  fc.num_machines = 64;
+  fc.placement = placement;
+  fc.migrate_after = 1;
+  fc.churn.arrival_rate_per_sec = 30.0;
+  fc.churn.mean_lifetime_sec = 3.0;
+  return fc;
+}
+
+std::string log_string(const std::vector<PlacementRecord>& log) {
+  std::string out;
+  for (const auto& r : log) {
+    out += std::to_string(r.tenant_id) + ',' + std::to_string(r.epoch) +
+           ',' + r.app + ',' + (r.accepted ? '1' : '0') + ',' +
+           (r.migration ? '1' : '0') + ',' + std::to_string(r.machine) +
+           ',' + std::to_string(r.core) + '\n';
+  }
+  return out;
+}
+
+/// Every observable output of a run: CSV, placement log, Prometheus text
+/// and epoch JSONL, with a run-local tracer + counter sink.
+struct RunOutput {
+  std::string csv;
+  std::string log;
+  std::string prometheus;
+  std::string jsonl;
+  std::vector<EpochMetrics> rows;
+};
+
+RunOutput run_outputs(FleetConfig fc, std::uint64_t epochs) {
+  trace::Tracer tracer;
+  telemetry::Registry registry;
+  auto sink = std::make_shared<telemetry::TraceCounterSink>(registry);
+  tracer.add_sink(sink);
+  fc.tracer = &tracer;
+  fc.metrics = &registry;
+  Cluster cluster(fc, sim::default_catalog());
+  RunOutput out;
+  for (std::uint64_t e = 0; e < epochs; ++e) {
+    out.rows.push_back(cluster.step_epoch());
+    out.csv += epoch_csv_row(out.rows.back()) + "\n";
+    out.jsonl += epoch_jsonl_row(out.rows.back()) + "\n";
+  }
+  tracer.remove_sink(sink);
+  out.log = log_string(cluster.placement_log());
+  out.prometheus = telemetry::to_prometheus(registry);
+  return out;
+}
+
+void expect_same_output(const RunOutput& a, const RunOutput& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.csv, b.csv) << what;
+  EXPECT_EQ(a.log, b.log) << what;
+  EXPECT_EQ(a.prometheus, b.prometheus) << what;
+  EXPECT_EQ(a.jsonl, b.jsonl) << what;
 }
 
 TEST(Cluster, ValidatesConfig) {
@@ -153,6 +224,119 @@ TEST(Cluster, ChurnReplayPinsPlacementDecisions) {
     EXPECT_EQ(la[i].migration, lb[i].migration);
     EXPECT_EQ(la[i].machine, lb[i].machine);
     EXPECT_EQ(la[i].core, lb[i].core);
+  }
+}
+
+// Any --jobs equals --jobs 1 for every engine: CSV rows, the placement
+// log (decision by decision, migrations included) and both metrics
+// exports.
+TEST(Cluster, AnyJobsMatchesJobsOneForEveryEngine) {
+  for (const auto& engine : known_placements()) {
+    FleetConfig fc = churny_config(engine);
+    const RunOutput ref = run_outputs(fc, 5);
+    EXPECT_FALSE(ref.log.empty()) << engine;
+    for (const unsigned jobs : {2u, 8u}) {
+      fc.jobs = jobs;
+      expect_same_output(ref, run_outputs(fc, 5),
+                         engine + " jobs=" + std::to_string(jobs));
+    }
+  }
+}
+
+// Arrivals far beyond capacity on a tiny fleet: machines fill and close
+// mid-queue and arrivals are rejected. Every engine's outputs at --jobs 8
+// must still equal --jobs 1.
+TEST(Cluster, HighConflictArrivalBurstsStayJobsInvariant) {
+  for (const auto& engine : known_placements()) {
+    FleetConfig fc = churny_config(engine);
+    fc.num_machines = 48;
+    fc.cores_used = 3;  // 96 BE slots fleet-wide
+    fc.churn.arrival_rate_per_sec = 400.0;
+    fc.churn.mean_lifetime_sec = 2.0;
+    const RunOutput serial = run_outputs(fc, 4);
+    fc.jobs = 8;
+    expect_same_output(serial, run_outputs(fc, 4), engine + " burst");
+
+    std::uint64_t rejected = 0;
+    for (const auto& r : serial.rows) rejected += r.rejected;
+    EXPECT_GT(rejected, 0u) << engine << ": the burst admitted everything";
+  }
+}
+
+// --p2c-d is a real knob: every fan-out stays jobs-invariant (its draws
+// live on the serial control plane).
+TEST(Cluster, P2cChoicesStayJobsInvariant) {
+  for (const unsigned d : {1u, 5u, 16u}) {
+    FleetConfig fc = churny_config("mrc-p2c");
+    fc.p2c_choices = d;
+    const RunOutput ref = run_outputs(fc, 4);
+    fc.jobs = 8;
+    expect_same_output(ref, run_outputs(fc, 4), "d=" + std::to_string(d));
+  }
+}
+
+// The control-plane timers: the parent scope (profile continuity) and the
+// three phase children each record once per epoch.
+TEST(Cluster, PhaseTimersRecorded) {
+  auto count_of = [](const std::string& label) {
+    for (const auto& [name, stat] : trace::TimerRegistry::global().snapshot()) {
+      if (name == label) return stat.count;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t parent = count_of("fleet.placement");
+  const std::uint64_t departures = count_of("fleet.departures");
+  const std::uint64_t migrations = count_of("fleet.migrations");
+  const std::uint64_t arrivals = count_of("fleet.arrivals");
+
+  Cluster cluster(small_config(), sim::default_catalog());
+  cluster.step_epoch();
+
+  EXPECT_EQ(count_of("fleet.placement"), parent + 1);
+  EXPECT_EQ(count_of("fleet.departures"), departures + 1);
+  EXPECT_EQ(count_of("fleet.migrations"), migrations + 1);
+  EXPECT_EQ(count_of("fleet.arrivals"), arrivals + 1);
+}
+
+TEST(FleetCli, P2cFlagParsesAndValidates) {
+  {
+    const char* argv[] = {"fleet_sim", "--p2c-d", "7"};
+    const util::CliArgs args(3, argv);
+    EXPECT_EQ(examples::fleet_config_from(args).p2c_choices, 7u);
+  }
+  {
+    const char* argv[] = {"fleet_sim"};
+    const util::CliArgs args(1, argv);
+    EXPECT_EQ(examples::fleet_config_from(args).p2c_choices,
+              MrcP2cPlacement::kChoices);
+  }
+  for (const char* bad : {"0", "-3"}) {
+    const char* argv[] = {"fleet_sim", "--p2c-d", bad};
+    const util::CliArgs args(3, argv);
+    EXPECT_THROW(examples::fleet_config_from(args), util::CliError)
+        << "--p2c-d " << bad;
+  }
+}
+
+// fleet_config_from reads every fleet-shape flag, so a full fleet command
+// line passes reject_unknown() and any flag outside the table fails it.
+TEST(FleetCli, FleetFlagsAreConsumedAndOthersRejected) {
+  {
+    const std::vector<const char*> argv = {
+        "fleet_sim",
+        "--machines", "8", "--cores", "4", "--policy", "DICER",
+        "--placement", "mrc-p2c", "--epoch", "1", "--slo", "0.9",
+        "--migrate-after", "2", "--seed", "3", "--jobs", "2",
+        "--p2c-d", "3", "--arrival-rate", "5", "--mean-lifetime", "4"};
+    const util::CliArgs args(static_cast<int>(argv.size()), argv.data());
+    examples::fleet_config_from(args);
+    EXPECT_NO_THROW(args.reject_unknown());
+  }
+  {
+    const char* argv[] = {"fleet_sim", "--machines", "8", "--shards", "4"};
+    const util::CliArgs args(5, argv);
+    examples::fleet_config_from(args);
+    EXPECT_THROW(args.reject_unknown(), util::CliError);
   }
 }
 

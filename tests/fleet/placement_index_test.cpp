@@ -124,6 +124,7 @@ TEST(PlacementIndex, MatchesScratchRebuildUnderRandomChurn) {
     }
     expect_matches(index, shadow);
   }
+  EXPECT_EQ(index.mutations(), 600u);  // one per admit/detach
 }
 
 TEST(PlacementIndex, ValidatesArguments) {
@@ -189,8 +190,8 @@ TEST(PlacementIndex, DirtyScoreProtocolInvalidatesOnMutation) {
 }
 
 // A long cluster churn run: after every epoch the live index must agree
-// with Cluster::views() (the scratch rebuild the historical control plane
-// used), and the O(1) tenants_running counter with the per-core scan.
+// with Cluster::views() (the reference rebuild from the nodes' tenant
+// arrays), and the O(1) tenants_running counter with the per-core scan.
 TEST(PlacementIndex, TracksClusterStateAcross200Epochs) {
   FleetConfig fc = small_config();
   fc.churn.arrival_rate_per_sec = 10.0;
@@ -247,21 +248,95 @@ void expect_same_log(const std::vector<PlacementRecord>& a,
   }
 }
 
-// The tentpole byte-equality contract: for every engine, the placement
-// log and the per-epoch CSV are identical with the index on and off —
-// same decisions, same tie-breaks, same RNG consumption.
-TEST(PlacementIndex, IndexOnOffIsByteIdenticalForEveryEngine) {
+// The engine-level shadow oracle: for every engine, twin engines (same
+// seed) over twin indexes walk the same randomized admit/detach churn and
+// decision stream. One twin decides with the reference full scan over
+// index_views() — the excluded machine's free_cores zeroed — and the other
+// with place_indexed(app, index, exclude). Bursts of consecutive
+// decisions, excluded and not, are interleaved with the churn; decisions
+// and occupancy must agree after every step (decisions, tie-breaks and
+// RNG consumption all equal).
+TEST(PlacementIndex, IndexedMatchesFullScanForEveryEngineUnderChurn) {
+  const auto& catalog = sim::default_catalog();
+  const AppDirectory dir(catalog, sim::MachineConfig{});
+  constexpr unsigned kMachines = 40;
+  constexpr unsigned kBeSlots = 3;
+
   for (const auto& name : known_placements()) {
-    FleetConfig fc = small_config();
-    fc.placement = name;
-    fc.migrate_after = 2;  // the exclude path must match too
-    fc.churn.arrival_rate_per_sec = 12.0;
-    fc.placement_index = true;
-    const RunResult on = run_fleet(fc, 12);
-    fc.placement_index = false;
-    const RunResult off = run_fleet(fc, 12);
-    EXPECT_EQ(on.csv, off.csv) << "engine " << name;
-    expect_same_log(on.log, off.log);
+    PlacementIndex ref_index(dir, kBeSlots);
+    PlacementIndex fast_index(dir, kBeSlots);
+    util::Xoshiro256 rng(2024);
+    for (unsigned m = 0; m < kMachines; ++m) {
+      const auto* hp = &catalog.at(rng.below(catalog.size()));
+      ref_index.add_machine(hp);
+      fast_index.add_machine(hp);
+    }
+    const auto ref = make_placement(name, dir, 77);
+    const auto fast = make_placement(name, dir, 77);
+
+    auto admit_lowest = [&](PlacementIndex& index, unsigned m,
+                            const sim::AppProfile* app) {
+      for (unsigned c = 1; c <= kBeSlots; ++c) {
+        if (index.tenant(m, c) == nullptr) {
+          index.admit(m, c, app);
+          return;
+        }
+      }
+      FAIL() << name << ": accepted onto full machine " << m;
+    };
+
+    std::uint64_t decisions = 0, excluded = 0, rejected = 0;
+    for (int step = 0; step < 300; ++step) {
+      // Alternate 40-step fill and drain phases so the walk sees an empty,
+      // a mixed and a saturated fleet.
+      const bool filling = (step / 40) % 2 == 0;
+      // Churn: detach (or directly admit) on both twins alike.
+      for (int k = 0; k < (filling ? 1 : 6); ++k) {
+        const auto m = static_cast<unsigned>(rng.below(kMachines));
+        const auto c = 1 + static_cast<unsigned>(rng.below(kBeSlots));
+        if (ref_index.tenant(m, c) != nullptr) {
+          ref_index.detach(m, c);
+          fast_index.detach(m, c);
+        } else if (rng.below(4) == 0) {
+          const auto* app = &catalog.at(rng.below(catalog.size()));
+          ref_index.admit(m, c, app);
+          fast_index.admit(m, c, app);
+        }
+      }
+      // A burst of decisions, each admitted before the next.
+      const std::size_t burst = rng.below(filling ? 8 : 3);
+      for (std::size_t j = 0; j < burst; ++j) {
+        const auto* app = &catalog.at(rng.below(catalog.size()));
+        std::optional<unsigned> exclude;
+        if (rng.below(3) == 0) {
+          exclude = static_cast<unsigned>(rng.below(kMachines));
+        }
+        auto views = index_views(ref_index);
+        if (exclude) views[*exclude].free_cores = 0;
+        const auto want = ref->place(*app, views);
+        const auto got = fast->place_indexed(*app, fast_index, exclude);
+        ASSERT_EQ(got, want) << name << " step " << step << " decision " << j;
+        ++decisions;
+        if (exclude) ++excluded;
+        if (!got) {
+          ++rejected;
+          continue;
+        }
+        if (exclude) {
+          ASSERT_NE(*got, *exclude) << name;
+        }
+        admit_lowest(ref_index, *got, app);
+        admit_lowest(fast_index, *got, app);
+      }
+      for (unsigned m = 0; m < kMachines; ++m) {
+        ASSERT_EQ(fast_index.free_cores(m), ref_index.free_cores(m))
+            << name << " step " << step << " machine " << m;
+      }
+    }
+    // The walk exercised both decision shapes and a saturated fleet.
+    EXPECT_GT(excluded, 50u) << name;
+    EXPECT_GT(decisions - excluded, 100u) << name;
+    EXPECT_GT(rejected, 0u) << name;
   }
 }
 
@@ -301,17 +376,6 @@ TEST(PlacementIndex, MrcP2cPlacesWithinBounds) {
     EXPECT_LT(rec.core, fc.cores_used);
   }
   EXPECT_GT(accepted, 0u);
-}
-
-// The config flag alone (no env var) must also disable the index.
-TEST(PlacementIndex, ConfigFlagDisablesIndex) {
-  FleetConfig fc = small_config();
-  fc.placement_index = false;
-  Cluster cluster(fc, sim::default_catalog());
-  EXPECT_EQ(cluster.placement_index(), nullptr);
-  FleetConfig on = small_config();
-  Cluster with(on, sim::default_catalog());
-  EXPECT_NE(with.placement_index(), nullptr);
 }
 
 }  // namespace

@@ -123,6 +123,15 @@ TEST(MrcBestFitPlacement, AvoidsTheCrowdedMachine) {
   EXPECT_EQ(*m, 1u);
 }
 
+TEST(MrcP2cPlacement, ValidatesChoices) {
+  const auto& dir = shared_directory();
+  EXPECT_THROW(MrcP2cPlacement(dir, 7, 0), std::invalid_argument);
+  EXPECT_THROW(make_placement("mrc-p2c", dir, 7, 0), std::invalid_argument);
+  EXPECT_NO_THROW(make_placement("mrc-p2c", dir, 7, 1));
+  // Engines that ignore the knob accept any value, including 0.
+  EXPECT_NO_THROW(make_placement("mrc", dir, 7, 0));
+}
+
 TEST(MakePlacement, KnownNamesAndErrors) {
   const auto& dir = shared_directory();
   for (const auto& name : known_placements()) {

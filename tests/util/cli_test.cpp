@@ -121,6 +121,38 @@ TEST(CliArgs, ErrorMessageNamesFlagAndValue) {
   }
 }
 
+// reject_unknown(): a flag no getter or has() read is an error, so a typo
+// or a retired flag cannot silently fall back to defaults.
+TEST(CliArgs, RejectUnknownNamesTheTypo) {
+  const auto a = make({"fleet_sim", "--machinez", "7", "--epochs", "3"});
+  EXPECT_EQ(a.get_int("machines", 500), 500);
+  EXPECT_EQ(a.get_int("epochs", 20), 3);
+  try {
+    a.reject_unknown();
+    FAIL() << "expected CliError";
+  } catch (const CliError& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown flag --machinez");
+  }
+}
+
+// A correctly spelled flag the program stopped reading is just as unknown.
+TEST(CliArgs, RejectUnknownCatchesRemovedFlag) {
+  const auto a = make({"prog", "--jobs", "8", "--retired-knob", "8"});
+  EXPECT_EQ(a.get_int("jobs", 0), 8);
+  EXPECT_THROW(a.reject_unknown(), CliError);
+}
+
+TEST(CliArgs, RejectUnknownAcceptsFullyConsumedLine) {
+  const auto a = make({"prog", "pos", "--n=12", "--name", "x", "--plain",
+                       "--seen"});
+  EXPECT_EQ(a.get_int("n", 0), 12);
+  EXPECT_EQ(a.get_or("name", ""), "x");
+  EXPECT_TRUE(a.get_bool("plain", false));
+  EXPECT_TRUE(a.has("seen"));  // has() counts as reading the flag
+  EXPECT_NO_THROW(a.reject_unknown());
+  EXPECT_NO_THROW(make({"prog"}).reject_unknown());
+}
+
 TEST(CliMainGuard, TranslatesCliErrorToExitTwo) {
   const int rc = cli_main_guard(
       "prog", []() -> int { throw CliError("invalid value for --x"); });
