@@ -47,6 +47,10 @@ std::unique_ptr<policy::Dicer> make_variant(const std::string& name) {
 
 static int run(int argc, char** argv) {
   bench::BenchEnv env(argc, argv);
+  // --stats appends the remaining DicerStats counters as extra columns;
+  // the default layout (and the committed CSV schema) stays unchanged.
+  const bool full_stats = env.args.get_bool("stats", false);
+  env.args.reject_unknown();
   bench::print_header("Ablation: DICER variants (120 workloads, 10 cores)");
 
   harness::ConsolidationConfig config;
@@ -57,10 +61,6 @@ static int run(int argc, char** argv) {
 
   const std::vector<std::string> variants = {
       "DICER", "DICER-noBW", "DICER+MBA", "DICER-literal", "DICER-noPhase"};
-
-  // --stats appends the remaining DicerStats counters as extra columns;
-  // the default layout (and the committed CSV schema) stays unchanged.
-  const bool full_stats = env.args.get_bool("stats", false);
 
   std::vector<std::string> head = {"variant", "SLO80 (%)", "SLO90 (%)",
                                    "EFU gmean", "SUCI90 gmean", "samplings",

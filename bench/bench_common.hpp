@@ -5,17 +5,20 @@
 // Common flags (all benches):
 //   --recompute        ignore on-disk caches and re-run the underlying study
 //   --cache-dir DIR    where caches/CSVs live (default $DICER_CACHE_DIR or .)
-//   --cores N          machine cores (default 10, the paper's Xeon)
-//   --jobs N           parallel sweep workers (default $DICER_SWEEP_JOBS,
-//                      else all hardware threads; results are identical
-//                      for any worker count)
+//   --jobs N           workers for the baseline study and the policy sweep
+//                      (default $DICER_SWEEP_JOBS, else all hardware
+//                      threads; results are identical for any worker count)
 //   --log-level L      debug|info|warn|error|off (same as DICER_LOG; the
 //                      flag wins over the env var)
 //   --trace PATH       record structured trace events to PATH for the
 //                      whole bench run — JSONL, or CSV when PATH ends in
 //                      .csv (same as DICER_TRACE; the flag wins)
-//   --profile          print the scoped-timer profile (sweep stages,
-//                      per-consolidation cost) to stderr on exit
+//   --profile          print the scoped-timer profile (baseline and sweep
+//                      stages, per-consolidation cost) to stderr on exit
+//
+// Each bench reads its own flags from env.args, then calls
+// env.args.reject_unknown() before simulating anything, so a misspelled or
+// unsupported flag exits 2 with "unknown flag --X" instead of being ignored.
 #pragma once
 
 #include <cstdlib>
@@ -41,7 +44,7 @@ struct BenchEnv {
   util::CliArgs args;
   std::string cache_dir;
   bool recompute = false;
-  unsigned jobs = 0;  ///< sweep workers; 0 = auto (env, then hardware)
+  unsigned jobs = 0;  ///< study/sweep workers; 0 = auto (env, then hardware)
   bool profile = false;
   std::shared_ptr<trace::Sink> trace_sink;  ///< set iff --trace/DICER_TRACE
   std::string trace_path;
@@ -84,12 +87,13 @@ struct BenchEnv {
     return (std::filesystem::path(cache_dir) / filename).string();
   }
 
-  /// The full 59x59 UM/CT baseline study (cached).
+  /// The full 59x59 UM/CT baseline study (cached). Runs on `--jobs`
+  /// workers; entries are identical for any worker count.
   harness::BaselineStudy study(
       const harness::ConsolidationConfig& config) const {
     return harness::baseline_study(sim::default_catalog(), config,
                                    path("cache_baseline_study.csv"),
-                                   recompute);
+                                   recompute, jobs);
   }
 
   /// The paper's representative sample: 50 CT-F + 70 CT-T workloads.

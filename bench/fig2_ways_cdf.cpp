@@ -12,6 +12,7 @@
 static int run(int argc, char** argv) {
   using namespace dicer;
   bench::BenchEnv env(argc, argv);
+  env.args.reject_unknown();
   bench::print_header(
       "Figure 2: CDF of LLC ways needed for 90/95/99% of solo performance");
 

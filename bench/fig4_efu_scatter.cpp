@@ -12,6 +12,7 @@
 static int run(int argc, char** argv) {
   using namespace dicer;
   bench::BenchEnv env(argc, argv);
+  env.args.reject_unknown();
   bench::print_header("Figure 4: EFU vs HP slowdown (120 workloads, UM & CT)");
 
   harness::ConsolidationConfig config;

@@ -27,6 +27,7 @@ double gmean_of(const std::vector<dicer::harness::SweepRow>& rows,
 static int run(int argc, char** argv) {
   using namespace dicer;
   bench::BenchEnv env(argc, argv);
+  env.args.reject_unknown();
   bench::print_header(
       "Figure 5: per-workload normalised HP/BE IPC (UM/CT/DICER, 10 cores)");
 

@@ -13,6 +13,7 @@
 static int run(int argc, char** argv) {
   using namespace dicer;
   bench::BenchEnv env(argc, argv);
+  env.args.reject_unknown();
   bench::print_header("Figure 6: geomean EFU vs employed cores");
 
   harness::ConsolidationConfig config;

@@ -36,6 +36,7 @@ double suci_gmean(const std::vector<dicer::harness::SweepRow>& rows,
 static int run(int argc, char** argv) {
   using namespace dicer;
   bench::BenchEnv env(argc, argv);
+  env.args.reject_unknown();
   bench::print_header("Figure 8: geomean SUCI vs employed cores");
 
   harness::ConsolidationConfig config;

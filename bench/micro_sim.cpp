@@ -379,13 +379,8 @@ void BM_DicerAct(benchmark::State& state) {
 }
 BENCHMARK(BM_DicerAct);
 
-// Policy-sweep throughput: a reduced slice of the Fig 5-8 grid
-// (workloads x cores x {UM, CT, DICER}) evaluated on 1, half and all
-// hardware workers. This is the shared computation behind Figs 5-8
-// (120 x 9 x 3 = 3240 cells), so cells/second here bounds every figure
-// bench; the parallel executor must show near-linear scaling because
-// cells are chunky and fully independent.
-void BM_PolicySweep(benchmark::State& state) {
+// Six workloads spread over the catalog, the sweep benches' sample.
+std::vector<harness::BaselineEntry> sweep_bench_sample() {
   const auto& catalog = sim::default_catalog();
   std::vector<harness::BaselineEntry> sample;
   for (std::size_t i = 0; i + 1 < catalog.size() && sample.size() < 6;
@@ -398,6 +393,18 @@ void BM_PolicySweep(benchmark::State& state) {
     e.ct_hp_ipc = 2.85;
     sample.push_back(e);
   }
+  return sample;
+}
+
+// Policy-sweep throughput: a reduced slice of the Fig 5-8 grid
+// (workloads x cores x {UM, CT, DICER}) evaluated on 1, half and all
+// hardware workers. This is the shared computation behind Figs 5-8
+// (120 x 9 x 3 = 3240 cells), so cells/second here bounds every figure
+// bench; the parallel executor must show near-linear scaling because
+// cells are chunky and fully independent.
+void BM_PolicySweep(benchmark::State& state) {
+  const auto& catalog = sim::default_catalog();
+  const auto sample = sweep_bench_sample();
   harness::SweepConfig sc;
   sc.cores = {3, 6, 10};
   sc.jobs = static_cast<unsigned>(state.range(0));
@@ -422,33 +429,17 @@ BENCHMARK(BM_PolicySweep)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The BM_PolicySweep grid on one worker with a fixed cell chunking —
-// jobs held at 1 so the BM_SweepSerialCells / BM_SweepBatched delta
-// isolates the MachineBatch engine from thread scaling (which
-// BM_PolicySweep already covers). Rows are byte-identical either way.
-std::vector<harness::BaselineEntry> sweep_bench_sample() {
-  const auto& catalog = sim::default_catalog();
-  std::vector<harness::BaselineEntry> sample;
-  for (std::size_t i = 0; i + 1 < catalog.size() && sample.size() < 6;
-       i += 9) {
-    harness::BaselineEntry e;
-    e.spec = {catalog.at(i).name, catalog.at(i + 1).name};
-    e.hp_alone_ipc = 3.0;
-    e.be_alone_ipc = 3.0;
-    e.um_hp_ipc = 2.7;
-    e.ct_hp_ipc = 2.85;
-    sample.push_back(e);
-  }
-  return sample;
-}
-
-void sweep_cells_bench(benchmark::State& state, unsigned batch_cells) {
+// The BM_PolicySweep grid on one worker: jobs held at 1 isolates the
+// per-cell cost of the consolidation engine (every cell is a one-lane
+// run_consolidation_batch) from thread scaling, which BM_PolicySweep
+// already covers. scripts/bench_compare.py gates it run over run under
+// this name.
+void BM_SweepBatched(benchmark::State& state) {
   const auto& catalog = sim::default_catalog();
   const auto sample = sweep_bench_sample();
   harness::SweepConfig sc;
   sc.cores = {3, 6, 10};
   sc.jobs = 1;
-  sc.batch_cells = batch_cells;
   const auto cells = sample.size() * sc.cores.size() * sc.policies.size();
   for (auto _ : state) {
     auto rows = harness::policy_sweep(catalog, sample, sc, /*cache_path=*/"");
@@ -456,16 +447,6 @@ void sweep_cells_bench(benchmark::State& state, unsigned batch_cells) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(cells));
   state.counters["cells"] = static_cast<double>(cells);
-  state.counters["batch_cells"] = static_cast<double>(sc.batch_cells);
-}
-
-void BM_SweepSerialCells(benchmark::State& state) {
-  sweep_cells_bench(state, /*batch_cells=*/1);
-}
-BENCHMARK(BM_SweepSerialCells)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void BM_SweepBatched(benchmark::State& state) {
-  sweep_cells_bench(state, /*batch_cells=*/8);
 }
 BENCHMARK(BM_SweepBatched)->UseRealTime()->Unit(benchmark::kMillisecond);
 

@@ -49,16 +49,17 @@ std::string action_tag(const trace::Event& e) {
 
 static int run(int argc, char** argv) {
   bench::BenchEnv env(argc, argv);
-  bench::print_header("Timeline: DICER per-period controller narrative");
-
   const std::string hp_name = env.args.get_or("hp", "GemsFDTD1");
   const std::string be_name = env.args.get_or("be", "gcc_base3");
   const auto cores =
       static_cast<unsigned>(std::clamp(env.args.get_int("cores", 10), 2L, 10L));
   const double seconds = env.args.get_double("seconds", 40.0);
+  const bool quanta = env.args.get_bool("quanta", false);
+  env.args.reject_unknown();
+  bench::print_header("Timeline: DICER per-period controller narrative");
 
   auto& tracer = trace::Tracer::global();
-  if (env.args.get_bool("quanta", false)) {
+  if (quanta) {
     tracer.set_kinds(trace::kAllKinds & ~trace::mask_of(trace::Kind::kTimer));
   }
   auto capture = std::make_shared<trace::MemorySink>();

@@ -22,6 +22,7 @@ static int run(int argc, char** argv) {
   const std::string be_name = args.get_or("be", "gcc_base3");
   const auto cores = static_cast<unsigned>(args.get_int("cores", 10));
   const double seconds = args.get_double("seconds", 40.0);
+  args.reject_unknown();
 
   const auto& catalog = sim::default_catalog();
   sim::Machine machine{sim::MachineConfig{}};

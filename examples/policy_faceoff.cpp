@@ -22,6 +22,7 @@ static int run(int argc, char** argv) {
   const std::string be_name = args.get_or("be", "lbm1");
   const auto cores = static_cast<unsigned>(args.get_int("cores", 10));
   const double slo = args.get_double("slo", 0.90);
+  args.reject_unknown();
 
   const auto& catalog = sim::default_catalog();
   const auto& hp = catalog.by_name(hp_name);

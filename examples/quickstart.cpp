@@ -34,10 +34,12 @@ static int run(int argc, char** argv) {
   const auto cores = static_cast<unsigned>(args.get_int("cores", 10));
 
   const bool trace_apps = args.has("trace-apps");
+  const std::string profile_cache = args.get_or("profile-cache", "");
+  const bool profile = args.get_bool("profile", false);
+  args.reject_unknown();
   const sim::AppCatalog catalog =
-      trace_apps
-          ? sim::trace_augmented_catalog(args.get_or("profile-cache", ""))
-          : sim::default_catalog();
+      trace_apps ? sim::trace_augmented_catalog(profile_cache)
+                 : sim::default_catalog();
   const auto& hp = catalog.by_name(hp_name);
   const auto& be = catalog.by_name(be_name);
 
@@ -73,7 +75,7 @@ static int run(int argc, char** argv) {
                   3);
   }
   table.print();
-  if (args.get_bool("profile", false)) {
+  if (profile) {
     const std::string timers = trace::TimerRegistry::global().format();
     if (!timers.empty()) std::cerr << "\n" << timers;
   }

@@ -37,7 +37,7 @@ DEFAULT_BENCHES = [
     # path over the same 8 machines; --speedup pins batched >= 2x faster.
     "BM_MachineStepSerial",
     "BM_MachineStepBatched",
-    # The sweep's chunked workers through run_consolidation_batch.
+    # The single-worker policy sweep: one run_consolidation per cell.
     "BM_SweepBatched/real_time",
     "BM_ProfileMrcExact",
     "BM_ProfileMrcSinglePass",

@@ -50,7 +50,8 @@ struct ConsolidationResult {
                                           double be_alone) const;
 };
 
-/// Run one consolidation of `hp` + (cores_used-1) x `be` under `policy`.
+/// Run one consolidation of `hp` + (cores_used-1) x `be` under `policy`:
+/// a one-task run_consolidation_batch, so there is one control loop.
 ConsolidationResult run_consolidation(const sim::AppProfile& hp,
                                       const sim::AppProfile& be,
                                       policy::Policy& policy,
@@ -66,14 +67,13 @@ struct BatchConsolidationTask {
   unsigned cores_used = 10;
 };
 
-/// Run every task's consolidation through one sim::MachineBatch: the lanes
-/// share a deduplicated phase-constant table and each lane's steady-state
-/// quanta take the batched fused-replay path. Every ConsolidationResult is
-/// byte-identical to run_consolidation called with the same inputs —
-/// batching changes the wall clock, never a result bit. The sweep's chunked
-/// workers call this with a handful of consecutive grid cells per task
-/// (consecutive cells share a workload, so the phase table dedups across
-/// lanes); machines are stepped lane-major, one lane's control loop run to
+/// Run every task's consolidation through one sim::MachineBatch — the one
+/// consolidation control loop; run_consolidation is its one-task case.
+/// Lanes share a deduplicated phase-constant table and each lane's
+/// steady-state quanta take the batched fused-replay path, which is
+/// bit-equal to Machine::step: with base.machine.batch_stepping off every
+/// quantum goes through Machine::step and every result is byte-identical.
+/// Machines are stepped lane-major, one lane's control loop run to
 /// completion before the next starts.
 std::vector<ConsolidationResult> run_consolidation_batch(
     const std::vector<BatchConsolidationTask>& tasks,

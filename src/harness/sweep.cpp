@@ -1,21 +1,14 @@
 #include "harness/sweep.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <memory>
-#include <sstream>
-#include <stdexcept>
 
 #include "metrics/metrics.hpp"
 #include "policy/factory.hpp"
 #include "util/csv.hpp"
 #include "util/log.hpp"
+#include "util/result_cache.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -33,11 +26,10 @@ std::string sweep_key(const sim::AppCatalog& catalog,
   // plus every config field that shapes results: machine geometry (cores,
   // frequency, LLC ways, link), the fixed-point solver knobs and the
   // consolidation window/MBA settings. Worker count, the solver shortcuts
-  // and the batch-stepping knobs (batch_cells, machine.batch_stepping) are
-  // deliberately excluded — none of them ever changes a row (shortcuts and
-  // batched stepping are byte-identical by construction, and the
-  // equivalence tests hold them to that), so flipping them must keep
-  // serving the same cache file.
+  // and machine.batch_stepping are deliberately excluded — none of them
+  // ever changes a row (shortcuts and batched stepping are byte-identical
+  // by construction, and the equivalence tests hold them to that), so
+  // flipping them must keep serving the same cache file.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](const std::string& s) {
     for (char c : s) {
@@ -63,166 +55,31 @@ std::string sweep_key(const sim::AppCatalog& catalog,
   return buf;
 }
 
-// Strict cell parsers: reject empty cells, trailing garbage ("12abc") and
-// out-of-range values so a corrupt cache is detected instead of silently
-// feeding nonsense into figures.
-unsigned parse_cell_unsigned(const std::string& cell) {
-  std::size_t pos = 0;
-  const unsigned long v = std::stoul(cell, &pos);
-  if (pos != cell.size() || v > 0xffffffffUL) {
-    throw std::invalid_argument("bad unsigned '" + cell + "'");
-  }
-  return static_cast<unsigned>(v);
-}
-
-double parse_cell_double(const std::string& cell) {
-  std::size_t pos = 0;
-  const double v = std::stod(cell, &pos);
-  if (pos != cell.size()) {
-    throw std::invalid_argument("bad number '" + cell + "'");
-  }
-  return v;
-}
-
-bool parse_cell_bool(const std::string& cell) {
-  if (cell == "1") return true;
-  if (cell == "0") return false;
-  throw std::invalid_argument("bad bool '" + cell + "'");
-}
-
-/// Load cached rows for `key`. Any defect — missing/foreign key line,
-/// wrong column header, truncated row, garbage cell, trailing columns —
-/// logs and returns empty so the caller recomputes. Never throws.
-std::vector<SweepRow> load_sweep(const std::string& path,
-                                 const std::string& key) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::string line;
-  if (!std::getline(in, line) || line != "# " + key) {
-    DICER_INFO << "sweep cache " << path << " is stale; recomputing";
-    return {};
-  }
-  if (!std::getline(in, line) || line != kSweepHeader) {
-    DICER_WARN << "sweep cache " << path
-               << " has an unexpected column header; recomputing";
-    return {};
-  }
-  std::vector<SweepRow> rows;
-  try {
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::istringstream ss(line);
-      SweepRow r;
-      std::string cell;
-      auto next = [&]() {
-        if (!std::getline(ss, cell, ',')) {
-          throw std::invalid_argument("truncated row");
-        }
-        return cell;
-      };
-      r.hp = next();
-      r.be = next();
-      r.policy = next();
-      r.cores = parse_cell_unsigned(next());
-      r.ct_favoured = parse_cell_bool(next());
-      r.hp_alone = parse_cell_double(next());
-      r.be_alone = parse_cell_double(next());
-      r.hp_ipc = parse_cell_double(next());
-      r.be_ipc = parse_cell_double(next());
-      r.efu = parse_cell_double(next());
-      if (std::getline(ss, cell, ',')) {
-        throw std::invalid_argument("trailing columns");
-      }
-      rows.push_back(std::move(r));
-    }
-  } catch (const std::exception& e) {
-    DICER_WARN << "sweep cache " << path << " is corrupt (" << e.what()
-               << " at row " << rows.size() << "); recomputing";
-    return {};
-  }
-  return rows;
-}
-
-/// Atomically (re)write the cache: stream into a temp file in the same
-/// directory, then rename over `path`, so an interrupted bench never
-/// leaves a truncated cache at the real location. The temp name carries
-/// the pid and a process-wide counter: concurrent writers (two bench
-/// processes sharing a cache dir, or two sweeps in one process) each get
-/// their own temp file instead of interleaving into a shared one, and the
-/// last rename wins with a complete file either way.
-void save_sweep(const std::string& path, const std::string& key,
-                const std::vector<SweepRow>& rows) {
-  static std::atomic<std::uint64_t> save_counter{0};
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
-      std::to_string(save_counter.fetch_add(1, std::memory_order_relaxed));
-  std::ofstream out(tmp, std::ios::trunc);
-  if (!out) {
-    DICER_WARN << "cannot write sweep cache " << tmp;
-    return;
-  }
-  out << "# " << key << "\n";
-  out << kSweepHeader << "\n";
-  for (const auto& r : rows) {
-    out << r.hp << ',' << r.be << ',' << r.policy << ',' << r.cores << ','
-        << (r.ct_favoured ? 1 : 0) << ',' << util::fmt(r.hp_alone) << ','
-        << util::fmt(r.be_alone) << ',' << util::fmt(r.hp_ipc) << ','
-        << util::fmt(r.be_ipc) << ',' << util::fmt(r.efu) << "\n";
-  }
-  out.flush();
-  if (!out) {
-    DICER_WARN << "failed writing sweep cache " << tmp;
-    out.close();
-    std::remove(tmp.c_str());
-    return;
-  }
-  out.close();
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    DICER_WARN << "cannot rename sweep cache " << tmp << " -> " << path;
-    std::remove(tmp.c_str());
-  }
-}
-
-/// One (workload, cores, policy) cell of the sweep grid, in the fixed
-/// enumeration order sample x cores x policies.
-struct SweepCell {
-  const BaselineEntry* entry = nullptr;
-  unsigned cores = 0;
-  const std::string* policy = nullptr;
-};
-
-/// Assemble a cell's row from its consolidation result — shared by the
-/// per-cell and batched paths so they cannot diverge.
-SweepRow make_row(const SweepCell& cell, const ConsolidationResult& res) {
-  SweepRow r;
-  r.hp = cell.entry->spec.hp;
-  r.be = cell.entry->spec.be;
-  r.policy = *cell.policy;
-  r.cores = cell.cores;
-  r.ct_favoured = cell.entry->ct_favoured();
-  r.hp_alone = cell.entry->hp_alone_ipc;
-  r.be_alone = cell.entry->be_alone_ipc;
-  r.hp_ipc = res.hp_ipc;
-  r.be_ipc = res.be_ipc_mean;
-  r.efu =
-      metrics::effective_utilisation(res.ipc_pairs(r.hp_alone, r.be_alone));
-  return r;
-}
-
-SweepRow run_cell(const sim::AppCatalog& catalog, const SweepCell& cell,
-                  const ConsolidationConfig& base) {
-  const auto& hp = catalog.by_name(cell.entry->spec.hp);
-  const auto& be = catalog.by_name(cell.entry->spec.be);
-  ConsolidationConfig cc = base;
-  cc.cores_used = cell.cores;
-  const auto pol = policy::make_policy(*cell.policy);
-  return make_row(cell, run_consolidation(hp, be, *pol, cc));
-}
-
 }  // namespace
 
 unsigned resolve_sweep_jobs(unsigned requested) {
   return util::ThreadPool::resolve_jobs(requested, "DICER_SWEEP_JOBS");
+}
+
+void run_grid(std::size_t n, unsigned jobs, const std::string& label,
+              const std::function<void(std::size_t)>& body) {
+  trace::ScopedTimer timer(label);
+  const unsigned workers = resolve_sweep_jobs(jobs);
+  std::atomic<std::size_t> done{0};
+  auto run = [&](std::size_t i) {
+    body(i);
+    const std::size_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (d % 500 == 0 || d == n) {
+      DICER_INFO << label << ": " << d << "/" << n << " cells (" << workers
+                 << " jobs)";
+    }
+  };
+  if (workers <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) run(i);
+  } else {
+    util::ThreadPool pool(workers);
+    util::parallel_for(pool, n, run);
+  }
 }
 
 std::vector<SweepRow> policy_sweep(const sim::AppCatalog& catalog,
@@ -230,95 +87,68 @@ std::vector<SweepRow> policy_sweep(const sim::AppCatalog& catalog,
                                    const SweepConfig& config,
                                    const std::string& cache_path,
                                    bool force_recompute) {
-  const std::string key = sweep_key(catalog, sample, config);
-  const std::size_t total =
-      sample.size() * config.policies.size() * config.cores.size();
+  const util::ResultCache cache(cache_path, sweep_key(catalog, sample, config),
+                                kSweepHeader);
+  const std::size_t n_policies = config.policies.size();
+  const std::size_t per_entry = config.cores.size() * n_policies;
+  const std::size_t total = sample.size() * per_entry;
   if (!cache_path.empty() && !force_recompute) {
     trace::ScopedTimer timer("sweep.load_cache");
-    auto rows = load_sweep(cache_path, key);
-    if (rows.size() == total) return rows;
-    if (!rows.empty()) {
-      DICER_WARN << "sweep cache row count mismatch (" << rows.size()
-                 << " != " << total << "); recomputing";
-    }
+    auto rows = cache.load<SweepRow>(total, [](util::ResultCache::Row& c) {
+      SweepRow r;
+      r.hp = c.text();
+      r.be = c.text();
+      r.policy = c.text();
+      r.cores = c.count();
+      r.ct_favoured = c.flag();
+      r.hp_alone = c.real();
+      r.be_alone = c.real();
+      r.hp_ipc = c.real();
+      r.be_ipc = c.real();
+      r.efu = c.real();
+      return r;
+    });
+    if (rows) return *std::move(rows);
   }
 
-  // Enumerate every cell up front in the canonical order, then evaluate
-  // them in parallel: cells are fully independent (each task builds its
-  // own Policy, ConsolidationConfig and simulated machine) and each
-  // writes into its own preallocated slot, so the result is byte-
-  // identical to the serial sweep whatever the worker count.
-  std::vector<SweepCell> cells;
-  cells.reserve(total);
-  for (const auto& entry : sample) {
-    for (unsigned cores : config.cores) {
-      for (const auto& pname : config.policies) {
-        cells.push_back({&entry, cores, &pname});
-      }
-    }
-  }
-
-  std::vector<SweepRow> rows(cells.size());
-  std::atomic<std::size_t> done{0};
-  const unsigned jobs = resolve_sweep_jobs(config.jobs);
-  // Each worker task evaluates a chunk of `batch` consecutive cells through
-  // one MachineBatch (run_consolidation_batch). Chunking follows the
-  // enumeration order, so a chunk's cells usually share a workload entry
-  // and the batch's phase table dedups their PhaseConsts. batch == 1 keeps
-  // the historical per-cell path; either way every row is byte-identical.
-  const unsigned batch =
-      sim::batch_stepping_enabled(config.base.machine)
-          ? std::max(config.batch_cells != 0 ? config.batch_cells : 8u, 1u)
-          : 1u;
-  auto progress = [&](std::size_t n_done) {
-    const std::size_t d =
-        done.fetch_add(n_done, std::memory_order_relaxed) + n_done;
-    if (d / 200 != (d - n_done) / 200 || d == cells.size()) {
-      DICER_INFO << "policy sweep: " << d << "/" << cells.size() << " ("
-                 << jobs << " jobs, batch " << batch << ")";
-    }
-  };
-  const std::size_t n_tasks = (cells.size() + batch - 1) / batch;
-  auto eval_chunk = [&](std::size_t t) {
-    const std::size_t begin = t * batch;
-    const std::size_t end = std::min(begin + batch, cells.size());
-    if (end - begin == 1) {
-      rows[begin] = run_cell(catalog, cells[begin], config.base);
-      progress(1);
-      return;
-    }
-    std::vector<std::unique_ptr<policy::Policy>> policies;
-    std::vector<BatchConsolidationTask> tasks;
-    policies.reserve(end - begin);
-    tasks.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      policies.push_back(policy::make_policy(*cells[i].policy));
-      BatchConsolidationTask task;
-      task.hp = &catalog.by_name(cells[i].entry->spec.hp);
-      task.be = &catalog.by_name(cells[i].entry->spec.be);
-      task.policy = policies.back().get();
-      task.cores_used = cells[i].cores;
-      tasks.push_back(task);
-    }
-    const auto results = run_consolidation_batch(tasks, config.base);
-    for (std::size_t i = begin; i < end; ++i) {
-      rows[i] = make_row(cells[i], results[i - begin]);
-    }
-    progress(end - begin);
-  };
-  {
-    trace::ScopedTimer timer("sweep.compute");
-    if (jobs <= 1 || n_tasks <= 1) {
-      for (std::size_t t = 0; t < n_tasks; ++t) eval_chunk(t);
-    } else {
-      util::ThreadPool pool(jobs);
-      util::parallel_for(pool, n_tasks, eval_chunk);
-    }
-  }
+  // Cell i is (sample entry, cores, policy) in the canonical order
+  // sample x cores x policies. Each cell builds its own policy and
+  // machine and writes only rows[i], so the rows are byte-identical to
+  // the serial sweep whatever the worker count.
+  std::vector<SweepRow> rows(total);
+  run_grid(total, config.jobs, "sweep.compute", [&](std::size_t i) {
+    const BaselineEntry& entry = sample[i / per_entry];
+    ConsolidationConfig cc = config.base;
+    cc.cores_used = config.cores[i % per_entry / n_policies];
+    const std::string& pname = config.policies[i % n_policies];
+    const auto pol = policy::make_policy(pname);
+    const auto res =
+        run_consolidation(catalog.by_name(entry.spec.hp),
+                          catalog.by_name(entry.spec.be), *pol, cc);
+    SweepRow& r = rows[i];
+    r.hp = entry.spec.hp;
+    r.be = entry.spec.be;
+    r.policy = pname;
+    r.cores = cc.cores_used;
+    r.ct_favoured = entry.ct_favoured();
+    r.hp_alone = entry.hp_alone_ipc;
+    r.be_alone = entry.be_alone_ipc;
+    r.hp_ipc = res.hp_ipc;
+    r.be_ipc = res.be_ipc_mean;
+    r.efu =
+        metrics::effective_utilisation(res.ipc_pairs(r.hp_alone, r.be_alone));
+  });
 
   if (!cache_path.empty()) {
     trace::ScopedTimer timer("sweep.save_cache");
-    save_sweep(cache_path, key, rows);
+    cache.save([&rows](std::ostream& out) {
+      for (const auto& r : rows) {
+        out << r.hp << ',' << r.be << ',' << r.policy << ',' << r.cores << ','
+            << (r.ct_favoured ? 1 : 0) << ',' << util::fmt(r.hp_alone) << ','
+            << util::fmt(r.be_alone) << ',' << util::fmt(r.hp_ipc) << ','
+            << util::fmt(r.be_ipc) << ',' << util::fmt(r.efu) << "\n";
+      }
+    });
   }
   return rows;
 }

@@ -3,11 +3,15 @@
 //
 // Figures 6, 7 and 8 all plot the same 120-workload x {2..10 cores} x
 // {UM, CT, DICER} grid through different metrics, and Fig 5 is the
-// 10-core slice of it; the sweep runs once and is cached on disk so each
-// bench binary stays cheap and the figures stay mutually consistent.
+// 10-core slice of it; the sweep runs once and is cached on disk
+// (util::ResultCache) so each bench binary stays cheap and the figures
+// stay mutually consistent. Every cell is one run_consolidation, run
+// through run_grid — the cell runner the baseline study shares.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,18 +44,21 @@ struct SweepConfig {
   /// every (workload, cores, policy) cell is independent and rows come
   /// back in the same deterministic order as the serial sweep.
   unsigned jobs = 0;
-  /// Consecutive cells evaluated per worker task through one
-  /// sim::MachineBatch (consecutive cells share a workload entry, so the
-  /// batch's phase table dedups across lanes). 0 = auto: 8 when batched
-  /// stepping is enabled, 1 (the plain per-cell path) otherwise. Like
-  /// `jobs` and the solver shortcuts, this knob never changes a row and is
-  /// excluded from the sweep cache key by construction.
-  unsigned batch_cells = 0;
 };
 
 /// Resolve a requested worker count: 0 consults $DICER_SWEEP_JOBS, then
 /// falls back to hardware concurrency; the result is always >= 1.
 unsigned resolve_sweep_jobs(unsigned requested);
+
+/// The cell runner both experiment grids (the baseline study and the
+/// policy sweep) run on: body(i) for every cell i in [0, n), serially when
+/// `jobs` resolves to 1 (resolve_sweep_jobs) and on a util::ThreadPool
+/// otherwise, timed as one `label` scope with progress logged at info
+/// level. `body` must write only its own preallocated slot i, so results
+/// are byte-identical at any worker count. The first exception a cell
+/// throws (in index order) is rethrown after every cell has finished.
+void run_grid(std::size_t n, unsigned jobs, const std::string& label,
+              const std::function<void(std::size_t)>& body);
 
 /// Run (or load from cache) the sweep over `sample`.
 std::vector<SweepRow> policy_sweep(const sim::AppCatalog& catalog,

@@ -2,19 +2,17 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <stdexcept>
+#include <cstring>
 
 #include "harness/solo.hpp"
+#include "harness/sweep.hpp"
 #include "metrics/metrics.hpp"
 #include "policy/baselines.hpp"
 #include "util/csv.hpp"
-#include "util/log.hpp"
+#include "util/result_cache.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace dicer::harness {
 
@@ -62,108 +60,6 @@ std::string cache_key(const sim::AppCatalog& catalog,
   return buf;
 }
 
-}  // namespace
-
-std::optional<BaselineStudy> load_baseline_cache(
-    const std::string& path, const sim::AppCatalog& catalog,
-    const ConsolidationConfig& config) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string line;
-  if (!std::getline(in, line) || line != "# " + cache_key(catalog, config)) {
-    DICER_INFO << "baseline cache " << path << " is stale; recomputing";
-    return std::nullopt;
-  }
-  std::getline(in, line);  // column header
-  BaselineStudy study;
-  study.config = config;
-  // Per-row validation: field count and full numeric parses are checked
-  // cell by cell, and any defect reports file, line and column before the
-  // loader falls back to recomputing — a malformed row must never escape
-  // as an uncaught std::stod exception or a silent garbage value.
-  std::size_t lineno = 2;  // 1-based; key + header already consumed
-  try {
-    while (std::getline(in, line)) {
-      ++lineno;
-      std::istringstream ss(line);
-      BaselineEntry e;
-      std::string cell;
-      unsigned column = 0;
-      auto next = [&]() {
-        ++column;
-        if (!std::getline(ss, cell, ',')) {
-          throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                                   ": truncated row (" +
-                                   std::to_string(column - 1) +
-                                   " of 10 fields)");
-        }
-        return cell;
-      };
-      auto next_double = [&]() {
-        const std::string& c = next();
-        std::size_t pos = 0;
-        double v = 0.0;
-        bool ok = true;
-        try {
-          v = std::stod(c, &pos);
-        } catch (const std::exception&) {
-          ok = false;
-        }
-        if (!ok || pos != c.size()) {
-          throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                                   ": column " + std::to_string(column) +
-                                   ": bad number '" + c + "'");
-        }
-        return v;
-      };
-      e.spec.hp = next();
-      e.spec.be = next();
-      e.hp_alone_ipc = next_double();
-      e.be_alone_ipc = next_double();
-      e.um_hp_ipc = next_double();
-      e.um_be_ipc = next_double();
-      e.ct_hp_ipc = next_double();
-      e.ct_be_ipc = next_double();
-      e.um_efu = next_double();
-      e.ct_efu = next_double();
-      if (std::getline(ss, cell, ',')) {
-        throw std::runtime_error(path + ":" + std::to_string(lineno) +
-                                 ": trailing columns after field 10");
-      }
-      study.entries.push_back(std::move(e));
-    }
-  } catch (const std::exception& e) {
-    DICER_WARN << "baseline cache is malformed (" << e.what()
-               << "); recomputing";
-    return std::nullopt;
-  }
-  if (study.entries.size() != catalog.size() * catalog.size()) {
-    DICER_WARN << "baseline cache " << path << " has wrong row count";
-    return std::nullopt;
-  }
-  return study;
-}
-
-void save_baseline_cache(const std::string& path, const BaselineStudy& study,
-                         const sim::AppCatalog& catalog) {
-  std::ofstream out(path);
-  if (!out) {
-    DICER_WARN << "cannot write baseline cache " << path;
-    return;
-  }
-  out << "# " << cache_key(catalog, study.config) << "\n";
-  out << "hp,be,hp_alone,be_alone,um_hp,um_be,ct_hp,ct_be,um_efu,ct_efu\n";
-  for (const auto& e : study.entries) {
-    out << e.spec.hp << ',' << e.spec.be << ',' << util::fmt(e.hp_alone_ipc)
-        << ',' << util::fmt(e.be_alone_ipc) << ',' << util::fmt(e.um_hp_ipc)
-        << ',' << util::fmt(e.um_be_ipc) << ',' << util::fmt(e.ct_hp_ipc)
-        << ',' << util::fmt(e.ct_be_ipc) << ',' << util::fmt(e.um_efu) << ','
-        << util::fmt(e.ct_efu) << "\n";
-  }
-}
-
-namespace {
-
 double efu_of(double hp_alone, double hp, double be_alone, double be_mean,
               std::size_t n_bes) {
   std::vector<metrics::IpcPair> pairs;
@@ -172,7 +68,51 @@ double efu_of(double hp_alone, double hp, double be_alone, double be_mean,
   return metrics::effective_utilisation(pairs);
 }
 
+util::ResultCache baseline_cache(const std::string& path,
+                                 const sim::AppCatalog& catalog,
+                                 const ConsolidationConfig& config) {
+  return util::ResultCache(
+      path, cache_key(catalog, config),
+      "hp,be,hp_alone,be_alone,um_hp,um_be,ct_hp,ct_be,um_efu,ct_efu");
+}
+
 }  // namespace
+
+std::optional<BaselineStudy> load_baseline_cache(
+    const std::string& path, const sim::AppCatalog& catalog,
+    const ConsolidationConfig& config) {
+  const auto cache = baseline_cache(path, catalog, config);
+  auto entries = cache.load<BaselineEntry>(
+      catalog.size() * catalog.size(), [](util::ResultCache::Row& c) {
+        BaselineEntry e;
+        e.spec.hp = c.text();
+        e.spec.be = c.text();
+        e.hp_alone_ipc = c.real();
+        e.be_alone_ipc = c.real();
+        e.um_hp_ipc = c.real();
+        e.um_be_ipc = c.real();
+        e.ct_hp_ipc = c.real();
+        e.ct_be_ipc = c.real();
+        e.um_efu = c.real();
+        e.ct_efu = c.real();
+        return e;
+      });
+  if (!entries) return std::nullopt;
+  return BaselineStudy{config, *std::move(entries)};
+}
+
+void save_baseline_cache(const std::string& path, const BaselineStudy& study,
+                         const sim::AppCatalog& catalog) {
+  baseline_cache(path, catalog, study.config).save([&](std::ostream& out) {
+    for (const auto& e : study.entries) {
+      out << e.spec.hp << ',' << e.spec.be << ',' << util::fmt(e.hp_alone_ipc)
+          << ',' << util::fmt(e.be_alone_ipc) << ',' << util::fmt(e.um_hp_ipc)
+          << ',' << util::fmt(e.um_be_ipc) << ',' << util::fmt(e.ct_hp_ipc)
+          << ',' << util::fmt(e.ct_be_ipc) << ',' << util::fmt(e.um_efu)
+          << ',' << util::fmt(e.ct_efu) << "\n";
+    }
+  });
+}
 
 std::size_t BaselineStudy::count_ct_favoured() const {
   std::size_t n = 0;
@@ -200,55 +140,56 @@ std::vector<WorkloadSpec> all_pairs(const sim::AppCatalog& catalog) {
 BaselineStudy baseline_study(const sim::AppCatalog& catalog,
                              const ConsolidationConfig& config,
                              const std::string& cache_path,
-                             bool force_recompute) {
+                             bool force_recompute, unsigned jobs) {
   if (!cache_path.empty() && !force_recompute) {
+    trace::ScopedTimer timer("baseline.load_cache");
     if (auto cached = load_baseline_cache(cache_path, catalog, config)) {
       return *std::move(cached);
     }
   }
 
-  // Solo IPCs once per app.
-  std::map<std::string, double> alone;
-  for (const auto& p : catalog.profiles()) {
-    alone[p.name] =
-        solo_steady_state(p, config.machine.llc.ways, config.machine).ipc;
+  // Solo IPCs once per app, in catalog order.
+  const std::size_t n = catalog.size();
+  std::vector<double> alone(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    alone[a] = solo_steady_state(catalog.at(a), config.machine.llc.ways,
+                                 config.machine)
+                   .ipc;
   }
 
+  // Cell i is the pair (HP i / n, BE i % n), all_pairs order; it runs UM
+  // then CT and writes only entries[i].
   BaselineStudy study;
   study.config = config;
-  study.entries.reserve(catalog.size() * catalog.size());
+  study.entries.resize(n * n);
   const std::size_t n_bes = config.cores_used - 1;
-  std::size_t done = 0;
-  for (const auto& hp : catalog.profiles()) {
-    for (const auto& be : catalog.profiles()) {
-      BaselineEntry e;
-      e.spec = {hp.name, be.name};
-      e.hp_alone_ipc = alone[hp.name];
-      e.be_alone_ipc = alone[be.name];
+  run_grid(n * n, jobs, "baseline.compute", [&](std::size_t i) {
+    const auto& hp = catalog.at(i / n);
+    const auto& be = catalog.at(i % n);
+    BaselineEntry& e = study.entries[i];
+    e.spec = {hp.name, be.name};
+    e.hp_alone_ipc = alone[i / n];
+    e.be_alone_ipc = alone[i % n];
 
-      policy::Unmanaged um;
-      const auto um_res = run_consolidation(hp, be, um, config);
-      e.um_hp_ipc = um_res.hp_ipc;
-      e.um_be_ipc = um_res.be_ipc_mean;
-      e.um_efu = efu_of(e.hp_alone_ipc, e.um_hp_ipc, e.be_alone_ipc,
-                        e.um_be_ipc, n_bes);
+    policy::Unmanaged um;
+    const auto um_res = run_consolidation(hp, be, um, config);
+    e.um_hp_ipc = um_res.hp_ipc;
+    e.um_be_ipc = um_res.be_ipc_mean;
+    e.um_efu = efu_of(e.hp_alone_ipc, e.um_hp_ipc, e.be_alone_ipc,
+                      e.um_be_ipc, n_bes);
 
-      policy::CacheTakeover ct;
-      const auto ct_res = run_consolidation(hp, be, ct, config);
-      e.ct_hp_ipc = ct_res.hp_ipc;
-      e.ct_be_ipc = ct_res.be_ipc_mean;
-      e.ct_efu = efu_of(e.hp_alone_ipc, e.ct_hp_ipc, e.be_alone_ipc,
-                        e.ct_be_ipc, n_bes);
+    policy::CacheTakeover ct;
+    const auto ct_res = run_consolidation(hp, be, ct, config);
+    e.ct_hp_ipc = ct_res.hp_ipc;
+    e.ct_be_ipc = ct_res.be_ipc_mean;
+    e.ct_efu = efu_of(e.hp_alone_ipc, e.ct_hp_ipc, e.be_alone_ipc,
+                      e.ct_be_ipc, n_bes);
+  });
 
-      study.entries.push_back(std::move(e));
-      if (++done % 500 == 0) {
-        DICER_INFO << "baseline study: " << done << "/"
-                   << catalog.size() * catalog.size();
-      }
-    }
+  if (!cache_path.empty()) {
+    trace::ScopedTimer timer("baseline.save_cache");
+    save_baseline_cache(cache_path, study, catalog);
   }
-
-  if (!cache_path.empty()) save_baseline_cache(cache_path, study, catalog);
   return study;
 }
 

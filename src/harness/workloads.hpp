@@ -7,10 +7,13 @@
 // DICER on a representative sample of 120 workloads: 50 CT-F + 70 CT-T.
 //
 // The full 59x59x{UM,CT} baseline study is the most expensive computation
-// in the reproduction, so its results are cached in a CSV next to the
-// binaries; every bench transparently reuses it (pass force_recompute to
-// refresh after model changes — the cache key includes the catalog seed
-// and machine geometry, so stale caches are detected automatically).
+// in the reproduction. Its 3481 pairs run on run_grid, the cell runner
+// the policy sweep shares, so `jobs` workers split them with byte-identical
+// results, and its results are cached in a CSV next to the binaries
+// (util::ResultCache); every bench transparently reuses it (pass
+// force_recompute to refresh after model changes — the cache key includes
+// the catalog seed and machine geometry, so stale caches are detected
+// automatically).
 #pragma once
 
 #include <cstdint>
@@ -67,18 +70,20 @@ struct BaselineStudy {
 /// All 59*59 workload pairs in catalog order.
 std::vector<WorkloadSpec> all_pairs(const sim::AppCatalog& catalog);
 
-/// Run (or load from `cache_path`) the UM/CT baseline study over all pairs.
-/// An empty cache_path disables caching.
+/// Run (or load from `cache_path`) the UM/CT baseline study over all pairs
+/// on `jobs` workers (0 = auto, as SweepConfig::jobs). An empty cache_path
+/// disables caching.
 BaselineStudy baseline_study(const sim::AppCatalog& catalog,
                              const ConsolidationConfig& config,
                              const std::string& cache_path,
-                             bool force_recompute = false);
+                             bool force_recompute = false, unsigned jobs = 0);
 
 /// Persist / restore a study (the cache layer under baseline_study,
-/// exposed for tooling and tests). Loading returns nullopt when the file
-/// is missing, keyed for a different catalog/machine configuration, or
-/// malformed — short rows, non-numeric cells and trailing columns are
-/// diagnosed with file/line/column in a warning instead of crashing.
+/// exposed for tooling and tests). Saving is atomic. Loading returns
+/// nullopt when the file is missing, keyed for a different
+/// catalog/machine configuration, or malformed — another header, short
+/// rows, non-numeric cells, trailing columns and a wrong row count are
+/// diagnosed with file and line in a warning instead of crashing.
 void save_baseline_cache(const std::string& path, const BaselineStudy& study,
                          const sim::AppCatalog& catalog);
 std::optional<BaselineStudy> load_baseline_cache(

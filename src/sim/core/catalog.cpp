@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "util/rng.hpp"
 
@@ -467,6 +468,10 @@ AppCatalog::AppCatalog(std::uint64_t seed) {
   if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
     throw std::logic_error("AppCatalog: duplicate workload name");
   }
+}
+
+AppCatalog::AppCatalog(std::vector<AppProfile> profiles) {
+  for (auto& p : profiles) add(std::move(p));
 }
 
 void AppCatalog::add(AppProfile profile) {

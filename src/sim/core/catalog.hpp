@@ -36,6 +36,9 @@ class AppCatalog {
   /// Builds the full 59-entry catalog. `seed` controls only the
   /// deterministic per-input jitter (default matches the shipped figures).
   explicit AppCatalog(std::uint64_t seed = 7);
+  /// A catalog of exactly `profiles`, each checked as add() checks it —
+  /// for experiments over a subset of workloads (e.g. a small study grid).
+  explicit AppCatalog(std::vector<AppProfile> profiles);
 
   /// Append an extra workload (e.g. a trace-derived app profiled by the
   /// reuse profiler, see sim/core/trace_apps.hpp). Throws

@@ -1,25 +1,19 @@
 #include "sim/core/trace_apps.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "util/log.hpp"
+#include "util/result_cache.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace dicer::sim {
 
 namespace {
-
-constexpr const char* kTraceHeader = "app,bytes,miss_ratio";
 
 std::string profile_key(const std::vector<TraceAppSpec>& specs,
                         const MrcProfilerConfig& config) {
@@ -72,101 +66,13 @@ std::string fmt17(double x) {
   return buf;
 }
 
-double parse_cell_double(const std::string& cell) {
-  std::size_t pos = 0;
-  const double v = std::stod(cell, &pos);
-  if (pos != cell.size()) {
-    throw std::invalid_argument("bad number '" + cell + "'");
-  }
-  return v;
-}
-
 using PointTable = std::map<std::string, std::vector<std::pair<double, double>>>;
 
-/// Load cached per-app MRC tables for `key`. Any defect logs and returns
-/// empty so the caller reprofiles. Never throws.
-PointTable load_tables(const std::string& path, const std::string& key) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::string line;
-  if (!std::getline(in, line) || line != "# " + key) {
-    DICER_INFO << "trace profile cache " << path << " is stale; reprofiling";
-    return {};
-  }
-  if (!std::getline(in, line) || line != kTraceHeader) {
-    DICER_WARN << "trace profile cache " << path
-               << " has an unexpected column header; reprofiling";
-    return {};
-  }
-  PointTable tables;
-  std::size_t rows = 0;
-  try {
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::istringstream ss(line);
-      std::string cell;
-      auto next = [&]() {
-        if (!std::getline(ss, cell, ',')) {
-          throw std::invalid_argument("truncated row");
-        }
-        return cell;
-      };
-      const std::string app = next();
-      const double bytes = parse_cell_double(next());
-      const double ratio = parse_cell_double(next());
-      if (app.empty() || !(bytes > 0.0) || ratio < 0.0 || ratio > 1.0) {
-        throw std::invalid_argument("out-of-range row");
-      }
-      if (std::getline(ss, cell, ',')) {
-        throw std::invalid_argument("trailing columns");
-      }
-      auto& points = tables[app];
-      if (!points.empty() && bytes <= points.back().first) {
-        throw std::invalid_argument("unsorted points");
-      }
-      points.emplace_back(bytes, ratio);
-      ++rows;
-    }
-  } catch (const std::exception& e) {
-    DICER_WARN << "trace profile cache " << path << " is corrupt (" << e.what()
-               << " at row " << rows << "); reprofiling";
-    return {};
-  }
-  return tables;
-}
-
-void save_tables(const std::string& path, const std::string& key,
-                 const PointTable& tables) {
-  static std::atomic<std::uint64_t> save_counter{0};
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
-      std::to_string(save_counter.fetch_add(1, std::memory_order_relaxed));
-  std::ofstream out(tmp, std::ios::trunc);
-  if (!out) {
-    DICER_WARN << "cannot write trace profile cache " << tmp;
-    return;
-  }
-  out << "# " << key << "\n";
-  out << kTraceHeader << "\n";
-  for (const auto& [app, points] : tables) {
-    for (const auto& [bytes, ratio] : points) {
-      out << app << ',' << fmt17(bytes) << ',' << fmt17(ratio) << "\n";
-    }
-  }
-  out.flush();
-  if (!out) {
-    DICER_WARN << "failed writing trace profile cache " << tmp;
-    out.close();
-    std::remove(tmp.c_str());
-    return;
-  }
-  out.close();
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    DICER_WARN << "cannot rename trace profile cache " << tmp << " -> "
-               << path;
-    std::remove(tmp.c_str());
-  }
-}
+struct TracePoint {
+  std::string app;
+  double bytes = 0.0;
+  double ratio = 0.0;
+};
 
 AppProfile make_profile(const TraceAppSpec& spec, const EmpiricalMrc& table) {
   AppPhase phase;
@@ -370,21 +276,37 @@ AppCatalog trace_augmented_catalog(const std::string& cache_path,
   AppCatalog catalog;
   if (specs.empty()) return catalog;
 
-  const std::string key = profile_key(specs, config);
+  const util::ResultCache cache(cache_path, profile_key(specs, config),
+                                "app,bytes,miss_ratio");
   PointTable tables;
   if (!cache_path.empty()) {
-    tables = load_tables(cache_path, key);
-    // Every spec must be present with one point per way count; anything
-    // else is a stale or foreign cache.
-    bool complete = tables.size() == specs.size();
-    for (const auto& spec : specs) {
-      const auto it = tables.find(spec.name);
-      if (it == tables.end() || it->second.size() != config.geometry.ways) {
-        complete = false;
-        break;
+    const auto points = cache.load<TracePoint>(
+        specs.size() * config.geometry.ways, [](util::ResultCache::Row& c) {
+          TracePoint p{c.text(), c.real(), c.real()};
+          if (p.app.empty() || !(p.bytes > 0.0) || p.ratio < 0.0 ||
+              p.ratio > 1.0) {
+            throw std::invalid_argument("out-of-range row");
+          }
+          return p;
+        });
+    if (points) {
+      for (const auto& p : *points) {
+        tables[p.app].emplace_back(p.bytes, p.ratio);
       }
     }
-    if (!complete && !tables.empty()) {
+    // Every spec must be present with one point per way count, strictly
+    // increasing in bytes; anything else is a stale or foreign cache.
+    bool complete = points.has_value();
+    for (const auto& spec : specs) {
+      const auto it = tables.find(spec.name);
+      complete = complete && it != tables.end() &&
+                 it->second.size() == config.geometry.ways &&
+                 std::adjacent_find(it->second.begin(), it->second.end(),
+                                    [](const auto& a, const auto& b) {
+                                      return b.first <= a.first;
+                                    }) == it->second.end();
+    }
+    if (!complete && points) {
       DICER_WARN << "trace profile cache " << cache_path
                  << " does not cover the requested specs; reprofiling";
     }
@@ -397,7 +319,15 @@ AppCatalog trace_augmented_catalog(const std::string& cache_path,
           profile_mrc(config, [&spec] { return make_trace_stream(spec); });
       tables[spec.name] = table.points();
     }
-    if (!cache_path.empty()) save_tables(cache_path, key, tables);
+    if (!cache_path.empty()) {
+      cache.save([&tables](std::ostream& out) {
+        for (const auto& [app, points] : tables) {
+          for (const auto& [bytes, ratio] : points) {
+            out << app << ',' << fmt17(bytes) << ',' << fmt17(ratio) << "\n";
+          }
+        }
+      });
+    }
   }
 
   for (const auto& spec : specs) {

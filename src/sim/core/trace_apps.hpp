@@ -10,10 +10,10 @@
 // coverage components — exact on convex tables, least-upper-bound
 // steepening on bumpy ones).
 //
-// Profiling results are cached on disk in the same deterministic style as
-// the policy-sweep cache: a versioned "# key" line mixing every
-// result-shaping knob, strict row parsing, corruption handled by
-// recomputing (never by crashing), atomic tmp+rename saves.
+// Profiling results are cached on disk in a util::ResultCache, the cache
+// the baseline study and the policy sweep use: a versioned "# key" line
+// mixing every result-shaping knob, strict row parsing, corruption handled
+// by recomputing (never by crashing), atomic tmp+rename saves.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,8 @@
 #include "telemetry/exposition.hpp"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
+
+#include "util/result_cache.hpp"
 
 namespace dicer::telemetry {
 
@@ -79,28 +76,8 @@ std::string to_json(const Registry& registry) {
 }
 
 void write_prometheus(const Registry& registry, const std::string& path) {
-  // Unique temp in the target directory, then rename: concurrent writers
-  // race to a *complete* file, and a crash leaves the old export intact.
-  static std::atomic<unsigned> seq{0};
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
-      std::to_string(seq.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("write_prometheus: cannot open " + tmp);
-    }
-    out << to_prometheus(registry);
-    if (!out.flush()) {
-      std::remove(tmp.c_str());
-      throw std::runtime_error("write_prometheus: failed writing " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("write_prometheus: cannot rename " + tmp +
-                             " -> " + path);
-  }
+  util::write_file_atomic(
+      path, [&](std::ostream& out) { out << to_prometheus(registry); });
 }
 
 }  // namespace dicer::telemetry

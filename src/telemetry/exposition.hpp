@@ -22,10 +22,10 @@ std::string to_prometheus(const Registry& registry);
 /// keys in name order — a registry snapshot for JSONL time series.
 std::string to_json(const Registry& registry);
 
-/// Write `to_prometheus(registry)` to `path` atomically (temp file in the
-/// same directory, then rename — the sweep-cache pattern), so a scraper
-/// or interrupted run never sees a torn file. Throws std::runtime_error
-/// when the file cannot be written.
+/// Write `to_prometheus(registry)` to `path` atomically
+/// (util::write_file_atomic: temp file in the same directory, then
+/// rename), so a scraper or interrupted run never sees a torn file.
+/// Throws std::runtime_error when the file cannot be written.
 void write_prometheus(const Registry& registry, const std::string& path);
 
 }  // namespace dicer::telemetry

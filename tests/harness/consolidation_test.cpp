@@ -94,10 +94,12 @@ TEST(Consolidation, IdenticalBesGetIdenticalIpc) {
 }
 
 TEST(Consolidation, BatchMatchesSerialExactly) {
-  // run_consolidation_batch is the sweep's chunked fast path: every lane's
-  // result must equal run_consolidation's bit for bit — IPCs, window,
-  // completions, link utilisation and the full solver-stat vector —
-  // across mixed policies and core counts in one batch.
+  // run_consolidation_batch is the one consolidation control loop, with
+  // fused batched stepping. The independent oracle is the same run with
+  // batch_stepping off, so every quantum goes through Machine::step: each
+  // lane's result must equal it bit for bit — IPCs, window, completions,
+  // link utilisation and the full solver-stat vector — across mixed
+  // policies and core counts in one batch.
   struct Spec {
     const char* hp;
     const char* be;
@@ -126,6 +128,7 @@ TEST(Consolidation, BatchMatchesSerialExactly) {
     const auto& s = specs[i];
     ConsolidationConfig cfg = base;
     cfg.cores_used = s.cores;
+    cfg.machine.batch_stepping = false;
     const auto pol = policy::make_policy(s.policy);
     const auto serial = run_consolidation(app(s.hp), app(s.be), *pol, cfg);
     const auto& b = batched[i];

@@ -490,11 +490,11 @@ TEST(PolicySweep, CacheFileByteIdenticalAcrossSolverShortcuts) {
 }
 
 TEST(PolicySweep, CacheFileByteIdenticalAcrossBatchStepping) {
-  // Batched stepping (MachineBatch fused replay + cell chunking) is
-  // byte-identical by construction, so batch_stepping and batch_cells are
-  // excluded from the cache key and a sweep with batching fully disabled
-  // must produce the exact same cache file — no dicer-sweep-v7 bump, and
-  // any divergence means the fused path changed results.
+  // Batched stepping (MachineBatch fused replay) is byte-identical by
+  // construction, so batch_stepping is excluded from the cache key and a
+  // sweep with it disabled — every quantum through Machine::step — must
+  // produce the exact same cache file: no dicer-sweep-v7 bump, and any
+  // divergence means the fused path changed results.
   const std::string on_path = ::testing::TempDir() + "/sweep_batch_on.csv";
   const std::string off_path = ::testing::TempDir() + "/sweep_batch_off.csv";
   std::remove(on_path.c_str());
@@ -503,10 +503,8 @@ TEST(PolicySweep, CacheFileByteIdenticalAcrossBatchStepping) {
       sample_entry("milc1", "gcc_base3"), sample_entry("namd1", "bzip22")};
   auto on_cfg = small_config();
   on_cfg.policies = {"UM", "CT", "DICER"};
-  on_cfg.batch_cells = 4;
   auto off_cfg = on_cfg;
   off_cfg.base.machine.batch_stepping = false;
-  off_cfg.batch_cells = 1;
   off_cfg.jobs = 4;  // and at a different worker count, for good measure
   policy_sweep(sim::default_catalog(), sample, on_cfg, on_path);
   policy_sweep(sim::default_catalog(), sample, off_cfg, off_path);

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "harness/solo.hpp"
+#include "metrics/metrics.hpp"
+#include "policy/baselines.hpp"
 
 namespace dicer::harness {
 namespace {
@@ -226,6 +232,158 @@ TEST(BaselineCache, TrailingColumnsAreDiagnosedNotFatal) {
   EXPECT_FALSE(load_baseline_cache(path, sim::default_catalog(),
                                    ConsolidationConfig{})
                    .has_value());
+  std::remove(path.c_str());
+}
+
+TEST(BaselineCache, WrongHeaderIsRejected) {
+  // The header names the columns; a file whose header differs (here two
+  // EFU columns swapped) must not be read with this loader's layout.
+  const std::string path = ::testing::TempDir() + "/baseline_header_test.csv";
+  const auto& catalog = sim::default_catalog();
+  auto study = synthetic_study();
+  study.config = ConsolidationConfig{};
+  save_baseline_cache(path, study, catalog);
+  ASSERT_TRUE(load_baseline_cache(path, catalog, study.config).has_value());
+
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  in.close();
+  ASSERT_EQ(lines.at(1),
+            "hp,be,hp_alone,be_alone,um_hp,um_be,ct_hp,ct_be,um_efu,ct_efu");
+  lines[1] = "hp,be,hp_alone,be_alone,um_hp,um_be,ct_hp,ct_be,ct_efu,um_efu";
+  std::ofstream out(path, std::ios::trunc);
+  for (const auto& l : lines) out << l << '\n';
+  out.close();
+  EXPECT_FALSE(load_baseline_cache(path, catalog, study.config).has_value());
+  std::remove(path.c_str());
+}
+
+// --- the study itself, on a 4-app catalog (16 pairs) -------------------
+
+sim::AppCatalog small_catalog() {
+  const auto& full = sim::default_catalog();
+  return sim::AppCatalog(std::vector<sim::AppProfile>{
+      full.by_name("milc1"), full.by_name("gcc_base3"), full.by_name("namd1"),
+      full.by_name("omnetpp1")});
+}
+
+ConsolidationConfig small_config() {
+  ConsolidationConfig config;
+  config.cores_used = 4;
+  return config;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(BaselineStudy, JobsInvariantAndEqualToPerPairRecomputation) {
+  const auto catalog = small_catalog();
+  const auto config = small_config();
+  const std::string serial_path =
+      ::testing::TempDir() + "/baseline_study_jobs1.csv";
+  const std::string parallel_path =
+      ::testing::TempDir() + "/baseline_study_jobs4.csv";
+  std::remove(serial_path.c_str());
+  std::remove(parallel_path.c_str());
+  const auto serial = baseline_study(catalog, config, serial_path,
+                                     /*force_recompute=*/false, /*jobs=*/1);
+  const auto parallel = baseline_study(catalog, config, parallel_path,
+                                       /*force_recompute=*/false, /*jobs=*/4);
+  ASSERT_EQ(serial.entries.size(), 16u);
+  ASSERT_EQ(parallel.entries.size(), 16u);
+  EXPECT_EQ(read_file(serial_path), read_file(parallel_path));
+  ASSERT_GT(read_file(serial_path).size(), 0u);
+
+  // Independent oracle: each pair run by hand in all_pairs order, UM then
+  // CT, with the EFU of one HP plus cores_used-1 identical BEs.
+  std::vector<double> alone;
+  for (const auto& p : catalog.profiles()) {
+    alone.push_back(
+        solo_steady_state(p, config.machine.llc.ways, config.machine).ipc);
+  }
+  auto efu = [&config](double hp_alone, double hp, double be_alone,
+                       double be_mean) {
+    std::vector<metrics::IpcPair> pairs{{hp_alone, hp}};
+    for (unsigned c = 1; c < config.cores_used; ++c) {
+      pairs.push_back({be_alone, be_mean});
+    }
+    return metrics::effective_utilisation(pairs);
+  };
+  const std::size_t n = catalog.size();
+  for (std::size_t i = 0; i < n * n; ++i) {
+    const auto& hp = catalog.at(i / n);
+    const auto& be = catalog.at(i % n);
+    policy::Unmanaged um;
+    const auto u = run_consolidation(hp, be, um, config);
+    policy::CacheTakeover ct;
+    const auto c = run_consolidation(hp, be, ct, config);
+    const double hp_alone = alone[i / n];
+    const double be_alone = alone[i % n];
+    for (const auto* study : {&serial, &parallel}) {
+      const BaselineEntry& e = study->entries[i];
+      EXPECT_EQ(e.spec.hp, hp.name) << "pair " << i;
+      EXPECT_EQ(e.spec.be, be.name) << "pair " << i;
+      EXPECT_EQ(e.hp_alone_ipc, hp_alone) << "pair " << i;
+      EXPECT_EQ(e.be_alone_ipc, be_alone) << "pair " << i;
+      EXPECT_EQ(e.um_hp_ipc, u.hp_ipc) << "pair " << i;
+      EXPECT_EQ(e.um_be_ipc, u.be_ipc_mean) << "pair " << i;
+      EXPECT_EQ(e.ct_hp_ipc, c.hp_ipc) << "pair " << i;
+      EXPECT_EQ(e.ct_be_ipc, c.be_ipc_mean) << "pair " << i;
+      EXPECT_EQ(e.um_efu, efu(hp_alone, u.hp_ipc, be_alone, u.be_ipc_mean))
+          << "pair " << i;
+      EXPECT_EQ(e.ct_efu, efu(hp_alone, c.hp_ipc, be_alone, c.be_ipc_mean))
+          << "pair " << i;
+    }
+  }
+
+  // A second call is served from the cache it wrote.
+  const auto cached = load_baseline_cache(serial_path, catalog, config);
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(cached->entries.size(), 16u);
+  std::remove(serial_path.c_str());
+  std::remove(parallel_path.c_str());
+}
+
+TEST(BaselineCache, ConcurrentSaversNeverCorruptTheCache) {
+  // Four studies force-recomputing into one cache path (two bench
+  // processes sharing a cache dir) each stream into a unique temp file;
+  // the last atomic rename wins with a complete file.
+  const auto catalog = small_catalog();
+  const auto config = small_config();
+  const std::string dir = ::testing::TempDir();
+  const std::string path = dir + "/baseline_concurrent_save.csv";
+  std::remove(path.c_str());
+  const auto expected = baseline_study(catalog, config, "",
+                                       /*force_recompute=*/false, /*jobs=*/1);
+
+  std::vector<std::thread> writers;
+  for (int i = 0; i < 4; ++i) {
+    writers.emplace_back([&] {
+      baseline_study(catalog, config, path, /*force_recompute=*/true,
+                     /*jobs=*/1);
+    });
+  }
+  for (auto& t : writers) t.join();
+
+  const auto cached = load_baseline_cache(path, catalog, config);
+  ASSERT_TRUE(cached.has_value());
+  ASSERT_EQ(cached->entries.size(), expected.entries.size());
+  for (std::size_t i = 0; i < expected.entries.size(); ++i) {
+    EXPECT_EQ(cached->entries[i].spec.label(),
+              expected.entries[i].spec.label());
+    EXPECT_NEAR(cached->entries[i].um_hp_ipc, expected.entries[i].um_hp_ipc,
+                1e-5);
+    EXPECT_NEAR(cached->entries[i].ct_efu, expected.entries[i].ct_efu, 1e-5);
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().string().find(path + ".tmp"), std::string::npos)
+        << "stray temp file: " << entry.path();
+  }
   std::remove(path.c_str());
 }
 
