@@ -7,9 +7,12 @@
 //   --cache-dir DIR    where caches/CSVs live (default $DICER_CACHE_DIR or .)
 //   --jobs N           workers for the baseline study and the policy sweep
 //                      (default $DICER_SWEEP_JOBS, else all hardware
-//                      threads; results are identical for any worker count)
+//                      threads; at most 4x the hardware threads; negative
+//                      counts are rejected; results are identical for any
+//                      worker count)
 //   --log-level L      debug|info|warn|error|off (same as DICER_LOG; the
-//                      flag wins over the env var)
+//                      flag wins over the env var; any other value is
+//                      rejected)
 //   --trace PATH       record structured trace events to PATH for the
 //                      whole bench run — JSONL, or CSV when PATH ends in
 //                      .csv (same as DICER_TRACE; the flag wins)
@@ -53,12 +56,9 @@ struct BenchEnv {
     cache_dir = args.get_or("cache-dir", harness::default_cache_dir());
     std::filesystem::create_directories(cache_dir);
     recompute = args.get_bool("recompute", false);
-    const long j = args.get_int("jobs", 0);
-    jobs = j > 0 ? static_cast<unsigned>(j) : 0;
+    jobs = util::jobs_flag(args);
     profile = args.get_bool("profile", false);
-    if (const auto level = args.get("log-level")) {
-      util::set_log_threshold(util::parse_log_level(*level));
-    }
+    util::apply_log_level_flag(args);
     trace_path = args.get_or("trace", "");
     if (trace_path.empty()) {
       if (const char* env = std::getenv("DICER_TRACE")) trace_path = env;

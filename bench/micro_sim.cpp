@@ -17,7 +17,6 @@
 #include "sim/cache/set_assoc_cache.hpp"
 #include "sim/core/catalog.hpp"
 #include "sim/machine.hpp"
-#include "sim/machine_batch.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace_counter_sink.hpp"
 #include "util/rng.hpp"
@@ -146,8 +145,8 @@ void BM_MachineStepNoShortcuts(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineStepNoShortcuts);
 
-// Fixture for the batched-stepping pair: single-phase apps keep every
-// machine in steady-state replay, the regime MachineBatch accelerates.
+// Fixture for the stepping pair: single-phase apps keep every machine in
+// steady-state replay, the regime run_for's bulk replay commit covers.
 std::vector<sim::AppProfile>& steady_profiles() {
   static std::vector<sim::AppProfile> profiles = [] {
     const auto& catalog = sim::default_catalog();
@@ -162,64 +161,52 @@ std::vector<sim::AppProfile>& steady_profiles() {
   return profiles;
 }
 
-constexpr unsigned kBatchBenchMachines = 8;
+constexpr unsigned kStepBenchMachines = 8;
 // One policy control interval — the granularity both real consumers (the
-// sweep's run_consolidation_batch, the fleet data plane) drive lanes at.
-constexpr unsigned kBatchBenchQuanta = 10;
+// consolidation loop, the fleet data plane) drive machines at.
+constexpr unsigned kStepBenchQuanta = 10;
 
-// Serial baseline for BM_MachineStepBatched: the same 8 machines x 10
-// steady-state apps advanced one control interval (10 quanta) per machine
-// per iteration through Machine::run_for — the exact call shape the sweep
-// and fleet data planes use. Items are machine-quanta, so time-per-item
-// compares directly against the batched run; bench_compare.py pins
-// batched >= 2x faster than this.
-void BM_MachineStepSerial(benchmark::State& state) {
+std::vector<std::unique_ptr<sim::Machine>> steady_machines() {
   auto& profiles = steady_profiles();
-  const double interval = sim::MachineConfig{}.quantum_sec * kBatchBenchQuanta;
   std::vector<std::unique_ptr<sim::Machine>> machines;
-  for (unsigned m = 0; m < kBatchBenchMachines; ++m) {
+  for (unsigned m = 0; m < kStepBenchMachines; ++m) {
     machines.push_back(std::make_unique<sim::Machine>(sim::MachineConfig{}));
     for (unsigned c = 0; c < 10; ++c) machines[m]->attach(c, &profiles[c]);
   }
+  return machines;
+}
+
+// Per-quantum baseline for BM_MachineRunFor: the same 8 machines x 10
+// steady-state apps advanced one control interval (10 quanta) per machine
+// per iteration, one step() per quantum. Items are machine-quanta, so
+// time-per-item compares directly; bench_compare.py pins run_for >= 2x
+// faster than this.
+void BM_MachineStepSerial(benchmark::State& state) {
+  auto machines = steady_machines();
+  for (auto _ : state) {
+    for (auto& m : machines) {
+      for (unsigned q = 0; q < kStepBenchQuanta; ++q) m->step();
+    }
+    benchmark::DoNotOptimize(machines[0]->telemetry(0).instructions);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kStepBenchMachines * kStepBenchQuanta);
+}
+BENCHMARK(BM_MachineStepSerial);
+
+// The same 8 machines x 10 quanta through Machine::run_for, whose bulk
+// replay commit advances a whole within-phase interval at once.
+void BM_MachineRunFor(benchmark::State& state) {
+  const double interval = sim::MachineConfig{}.quantum_sec * kStepBenchQuanta;
+  auto machines = steady_machines();
   for (auto _ : state) {
     for (auto& m : machines) m->run_for(interval);
     benchmark::DoNotOptimize(machines[0]->telemetry(0).instructions);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          kBatchBenchMachines * kBatchBenchQuanta);
+                          kStepBenchMachines * kStepBenchQuanta);
 }
-BENCHMARK(BM_MachineStepSerial);
-
-// The same 8 machines x 10 quanta through one MachineBatch: shared phase
-// table, fused replay commits, whole intervals committed by the budgeted
-// bulk path. fused_pct should sit near 100 — a low value means the lanes
-// keep falling off the fast path and the comparison is measuring fallback
-// steps, not the SoA engine.
-void BM_MachineStepBatched(benchmark::State& state) {
-  auto& profiles = steady_profiles();
-  const double interval = sim::MachineConfig{}.quantum_sec * kBatchBenchQuanta;
-  std::vector<std::unique_ptr<sim::Machine>> machines;
-  sim::MachineBatch batch;
-  for (unsigned m = 0; m < kBatchBenchMachines; ++m) {
-    machines.push_back(std::make_unique<sim::Machine>(sim::MachineConfig{}));
-    for (unsigned c = 0; c < 10; ++c) machines[m]->attach(c, &profiles[c]);
-    batch.add(*machines[m]);
-  }
-  for (auto _ : state) {
-    for (unsigned m = 0; m < kBatchBenchMachines; ++m) batch.run_for(m, interval);
-    benchmark::DoNotOptimize(machines[0]->telemetry(0).instructions);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          kBatchBenchMachines * kBatchBenchQuanta);
-  const auto& bs = batch.stats();
-  const auto total = bs.fused_quanta + bs.fallback_steps;
-  state.counters["fused_pct"] =
-      100.0 * static_cast<double>(bs.fused_quanta) /
-      static_cast<double>(std::max<std::uint64_t>(total, 1));
-  state.counters["shared_phases"] =
-      static_cast<double>(batch.shared_phase_count());
-}
-BENCHMARK(BM_MachineStepBatched);
+BENCHMARK(BM_MachineRunFor);
 
 // A long consolidation-shaped run: 100 quanta (one 1 s control period)
 // per iteration, crossing app phase boundaries and completions — the
@@ -430,8 +417,8 @@ BENCHMARK(BM_PolicySweep)
     ->Unit(benchmark::kMillisecond);
 
 // The BM_PolicySweep grid on one worker: jobs held at 1 isolates the
-// per-cell cost of the consolidation engine (every cell is a one-lane
-// run_consolidation_batch) from thread scaling, which BM_PolicySweep
+// per-cell cost of the consolidation engine (every cell is one
+// run_consolidation) from thread scaling, which BM_PolicySweep
 // already covers. scripts/bench_compare.py gates it run over run under
 // this name.
 void BM_SweepBatched(benchmark::State& state) {

@@ -3,7 +3,8 @@
 // observability flags, matching bench_common.hpp:
 //
 //   --log-level L      debug|info|warn|error|off (same as DICER_LOG; the
-//                      flag wins over the env var)
+//                      flag wins over the env var; any other value is
+//                      rejected)
 //   --trace PATH       record structured trace events to PATH — JSONL, or
 //                      CSV when PATH ends in .csv (same as DICER_TRACE)
 //   --profile          print the scoped-timer profile (fleet.epoch /
@@ -39,7 +40,7 @@ inline fleet::FleetConfig fleet_config_from(const util::CliArgs& args) {
   fc.migrate_after =
       static_cast<unsigned>(args.get_int("migrate-after", 3));
   fc.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  fc.jobs = static_cast<unsigned>(args.get_int("jobs", 0));
+  fc.jobs = util::jobs_flag(args);
   const long p2c_d =
       args.get_int("p2c-d", fleet::MrcP2cPlacement::kChoices);
   if (p2c_d < 1) {
@@ -80,9 +81,7 @@ struct FleetEnv {
 
   explicit FleetEnv(const util::CliArgs& args) {
     profile = args.get_bool("profile", false);
-    if (const auto level = args.get("log-level")) {
-      util::set_log_threshold(util::parse_log_level(*level));
-    }
+    util::apply_log_level_flag(args);
     trace_path = args.get_or("trace", "");
     if (trace_path.empty()) {
       if (const char* env = std::getenv("DICER_TRACE")) trace_path = env;

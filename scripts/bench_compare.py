@@ -33,10 +33,11 @@ DEFAULT_BENCHES = [
     "BM_MachineStep10Apps",
     "BM_MachineStepPartitioned",
     "BM_MachineRunPeriod",
-    # The batched-stepping pair: serial baseline and the MachineBatch fused
-    # path over the same 8 machines; --speedup pins batched >= 2x faster.
+    # The stepping pair: one step() per quantum and Machine::run_for (bulk
+    # replay commits) over the same 8 machines; --speedup pins run_for
+    # >= 2x faster.
     "BM_MachineStepSerial",
-    "BM_MachineStepBatched",
+    "BM_MachineRunFor",
     # The single-worker policy sweep: one run_consolidation per cell.
     "BM_SweepBatched/real_time",
     "BM_ProfileMrcExact",
@@ -115,8 +116,7 @@ def main(argv=None):
         default=None,
         metavar="BASE:FAST:MINRATIO",
         help="pin BASE >= MINRATIO * FAST within the *new* file "
-        "(repeatable) — e.g. the batched machine step against its serial "
-        "baseline",
+        "(repeatable) — e.g. one step() per quantum against Machine::run_for",
     )
     args = ap.parse_args(argv)
     benches = args.bench if args.bench else DEFAULT_BENCHES

@@ -7,7 +7,6 @@
 
 #include "metrics/metrics.hpp"
 #include "policy/factory.hpp"
-#include "sim/machine_batch.hpp"
 #include "rdt/capability.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -137,33 +136,9 @@ Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
   epoch_stats_.reserve(nodes_.size());
   bind_metrics();
 
-  // Carve the fleet into contiguous data-plane batches: each stepping task
-  // advances one batch, whose lanes share a phase table and the fused
-  // replay path. Build once at boot — machines never move between batches,
-  // so mid-life snapshots stay valid across epochs.
-  if (sim::batch_stepping_enabled(config_.machine)) {
-    unsigned per = config_.batch_machines;
-    if (per == 0) {
-      // ~4 batches per worker keeps the shards load-balanced under uneven
-      // policy intervals while amortising the shared table.
-      per = std::clamp(config_.num_machines / (jobs_ * 4), 1u, 32u);
-    }
-    for (std::size_t start = 0; start < nodes_.size();
-         start += static_cast<std::size_t>(per)) {
-      auto batch = std::make_unique<sim::MachineBatch>();
-      const std::size_t end =
-          std::min(nodes_.size(), start + static_cast<std::size_t>(per));
-      for (std::size_t i = start; i < end; ++i) {
-        batch->add(*nodes_[i].machine);
-      }
-      batch_start_.push_back(start);
-      batches_.push_back(std::move(batch));
-    }
-  }
   DICER_INFO << "fleet: booted " << nodes_.size() << " machines ("
              << config.policy << " policy, " << placement_->name()
-             << " placement, " << jobs_ << " jobs, " << batches_.size()
-             << " step batches)";
+             << " placement, " << jobs_ << " jobs)";
 }
 
 Cluster::~Cluster() = default;
@@ -416,37 +391,6 @@ void Cluster::do_arrivals(double epoch_end, EpochMetrics& m) {
 
 void Cluster::step_all(double epoch_end) {
   epoch_stats_.resize(nodes_.size());
-  // Batched data plane: task b advances one MachineBatch's machine slice,
-  // each lane run through the same control loop as the per-machine path.
-  // Batch stepping is bit-equal to Machine::run_until by construction and
-  // the reduction stays index-ordered, so CSV/metrics exports are
-  // byte-identical at any (jobs, batch_machines) — and to the unbatched
-  // plane below.
-  if (!batches_.empty()) {
-    auto step_batch = [&](std::size_t b) {
-      sim::MachineBatch& batch = *batches_[b];
-      const std::size_t start = batch_start_[b];
-      for (unsigned k = 0; k < batch.size(); ++k) {
-        const std::size_t i = start + k;
-        Node& node = nodes_[i];
-        sim::Machine& machine = *node.machine;
-        while (machine.time_sec() < epoch_end - kEps) {
-          const double interval = std::max(node.policy->interval_sec(),
-                                           config_.machine.quantum_sec);
-          batch.run_until(k,
-                          std::min(machine.time_sec() + interval, epoch_end));
-          node.policy->act(node.ctx);
-        }
-        fill_epoch_stat(i);
-      }
-    };
-    if (!pool_ || batches_.size() <= 1) {
-      for (std::size_t b = 0; b < batches_.size(); ++b) step_batch(b);
-    } else {
-      util::parallel_for(*pool_, batches_.size(), step_batch);
-    }
-    return;
-  }
   auto step_node = [&](std::size_t i) {
     Node& node = nodes_[i];
     sim::Machine& machine = *node.machine;
@@ -464,9 +408,19 @@ void Cluster::step_all(double epoch_end) {
   };
   if (!pool_ || nodes_.size() <= 1) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) step_node(i);
-  } else {
-    util::parallel_for(*pool_, nodes_.size(), step_node);
+    return;
   }
+  // One pool task per contiguous machine range, ~4 ranges per worker (at
+  // most 32 machines each): balanced under uneven policy intervals without
+  // paying a queue round trip per machine.
+  const std::size_t n = nodes_.size();
+  const std::size_t per =
+      std::clamp<std::size_t>(n / (std::size_t{jobs_} * 4), 1, 32);
+  util::parallel_for(*pool_, (n + per - 1) / per, [&](std::size_t r) {
+    for (std::size_t i = r * per; i < std::min(n, (r + 1) * per); ++i) {
+      step_node(i);
+    }
+  });
 }
 
 void Cluster::fill_epoch_stat(std::size_t i) {

@@ -11,10 +11,10 @@
 //      SLO-triggered migrations -> arrivals, each arrival decided by the
 //      PlacementEngine off the persistent PlacementIndex and admitted
 //      before the next one is looked at (DESIGN.md §5i, §5j)
-//   2. data plane: every machine steps to the epoch boundary, sharded
-//      across a util::ThreadPool — machine i is task i, machines never
-//      interact mid-epoch, so any worker count replays the serial fleet
-//      bit-for-bit
+//   2. data plane: every machine steps to the epoch boundary through
+//      Machine::run_until, sharded across a util::ThreadPool in contiguous
+//      machine ranges — machines never interact mid-epoch, so any worker
+//      count replays the serial fleet bit-for-bit
 //   3. reduction (single-threaded, machine-index order): each shard left a
 //      MachineEpochStat (EFU / HP QoS / link rho from telemetry deltas) in
 //      its machine's slot; the fold walks them in index order into one
@@ -69,14 +69,6 @@ struct FleetConfig {
   /// the other engines). d = 1 is seeded-random placement, large d
   /// approaches full best-fit at d scores per decision.
   unsigned p2c_choices = MrcP2cPlacement::kChoices;
-  /// Machines per data-plane batch: each stepping task advances one
-  /// sim::MachineBatch (a contiguous machine slice sharing a phase table
-  /// and the fused replay path) instead of a single machine. 0 = auto,
-  /// balancing batch locality against worker load (~4 batches per worker,
-  /// clamped to [1, 32]). Like `jobs`, this knob never changes a result
-  /// byte; sim::MachineConfig::batch_stepping / DICER_NO_BATCH=1 fall back
-  /// to the historical machine-per-task data plane.
-  unsigned batch_machines = 0;
   /// Event sink (null = process-global tracer).
   trace::Tracer* tracer = nullptr;
   /// Metrics registry for fleet-wide distributions, actuation counters and
@@ -303,14 +295,6 @@ class Cluster {
   /// (reset every reduction; independent of config.metrics).
   telemetry::Histogram epoch_efu_hist_;
   telemetry::Histogram epoch_slowdown_hist_;
-  /// Persistent data-plane batches over contiguous machine ranges; batch b
-  /// covers machines [batch_start_[b], batch_start_[b] + batches_[b]->size())
-  /// and lane k of batch b is machine batch_start_[b] + k. Empty when
-  /// batched stepping is disabled (step_all falls back to machine-per-task).
-  /// Declared after nodes_ so the batches are destroyed first and can
-  /// unhook their shared phase tables from the machines.
-  std::vector<std::unique_ptr<sim::MachineBatch>> batches_;
-  std::vector<std::size_t> batch_start_;
 };
 
 }  // namespace dicer::fleet

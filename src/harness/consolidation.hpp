@@ -8,7 +8,6 @@
 // the IPC ratio equals the execution-time slowdown.)
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,15 +50,17 @@ struct ConsolidationResult {
 };
 
 /// Run one consolidation of `hp` + (cores_used-1) x `be` under `policy`:
-/// a one-task run_consolidation_batch, so there is one control loop.
+/// the one consolidation control loop. The machine advances one policy
+/// interval at a time through Machine::run_for, so steady-state stretches
+/// take its bulk replay commit (bit-identical to stepping every quantum).
 ConsolidationResult run_consolidation(const sim::AppProfile& hp,
                                       const sim::AppProfile& be,
                                       policy::Policy& policy,
                                       const ConsolidationConfig& config = {});
 
-/// One lane of a batched consolidation run. `policy` is caller-owned and
-/// must be a distinct instance per task (policies carry per-run state);
-/// `cores_used` overrides base.cores_used for this lane.
+/// One task of run_consolidation_batch. `policy` is caller-owned and must
+/// be a distinct instance per task (policies carry per-run state);
+/// `cores_used` overrides base.cores_used for this task.
 struct BatchConsolidationTask {
   const sim::AppProfile* hp = nullptr;
   const sim::AppProfile* be = nullptr;
@@ -67,14 +68,8 @@ struct BatchConsolidationTask {
   unsigned cores_used = 10;
 };
 
-/// Run every task's consolidation through one sim::MachineBatch — the one
-/// consolidation control loop; run_consolidation is its one-task case.
-/// Lanes share a deduplicated phase-constant table and each lane's
-/// steady-state quanta take the batched fused-replay path, which is
-/// bit-equal to Machine::step: with base.machine.batch_stepping off every
-/// quantum goes through Machine::step and every result is byte-identical.
-/// Machines are stepped lane-major, one lane's control loop run to
-/// completion before the next starts.
+/// run_consolidation over every task in order, each task on its own
+/// machine. Every task is validated before the first one runs.
 std::vector<ConsolidationResult> run_consolidation_batch(
     const std::vector<BatchConsolidationTask>& tasks,
     const ConsolidationConfig& base = {});

@@ -25,10 +25,10 @@ std::string sweep_key(const sim::AppCatalog& catalog,
   // Order-sensitive FNV over the sample labels, policies and core counts,
   // plus every config field that shapes results: machine geometry (cores,
   // frequency, LLC ways, link), the fixed-point solver knobs and the
-  // consolidation window/MBA settings. Worker count, the solver shortcuts
-  // and machine.batch_stepping are deliberately excluded — none of them
-  // ever changes a row (shortcuts and batched stepping are byte-identical
-  // by construction, and the equivalence tests hold them to that), so
+  // consolidation window/MBA settings. Worker count and the solver
+  // shortcuts are deliberately excluded — neither ever changes a row (the
+  // shortcuts, bulk replay commits included, are byte-identical by
+  // construction, and the equivalence tests hold them to that), so
   // flipping them must keep serving the same cache file.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](const std::string& s) {

@@ -151,10 +151,13 @@ BaselineStudy baseline_study(const sim::AppCatalog& catalog,
   // Solo IPCs once per app, in catalog order.
   const std::size_t n = catalog.size();
   std::vector<double> alone(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    alone[a] = solo_steady_state(catalog.at(a), config.machine.llc.ways,
-                                 config.machine)
-                   .ipc;
+  {
+    trace::ScopedTimer timer("baseline.solo");
+    for (std::size_t a = 0; a < n; ++a) {
+      alone[a] = solo_steady_state(catalog.at(a), config.machine.llc.ways,
+                                   config.machine)
+                     .ipc;
+    }
   }
 
   // Cell i is the pair (HP i / n, BE i % n), all_pairs order; it runs UM

@@ -29,6 +29,18 @@ MissRatioCurve::MissRatioCurve(double floor,
     throw std::invalid_argument(
         "MissRatioCurve: floor + component weights exceed 1");
   }
+  solve_.sf = stream_fraction();
+  solve_.one_minus_sf = 1.0 - solve_.sf;
+  solve_.floor = floor_;
+  solve_.span = std::max(ceiling() - floor_, 1e-9);
+  double wsum = 0.0;
+  for (const auto& c : components_) wsum += c.weight;
+  if (wsum > 0.0) {
+    for (const auto& c : components_) {
+      solve_.wfrac.push_back(c.weight / wsum);
+      solve_.ws.push_back(c.ws_bytes);
+    }
+  }
 }
 
 double MissRatioCurve::at(double bytes) const noexcept {

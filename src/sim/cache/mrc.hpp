@@ -42,6 +42,20 @@ struct MrcComponent {
 /// Analytic miss-ratio curve (sum of hill components over a floor).
 class MissRatioCurve {
  public:
+  /// The constants the machine's quantum solve reads every fixed-point
+  /// round, derived once when the curve is built (the curve is immutable,
+  /// so they can never go stale). Scalars first, then the normalised
+  /// component weights and working sets as two flat arrays, so a round
+  /// streams through them instead of striding over components().
+  struct SolveRecord {
+    double sf = 0.0;            ///< stream_fraction()
+    double one_minus_sf = 1.0;  ///< 1 - sf, as the demand split uses it
+    double floor = 0.0;         ///< floor()
+    double span = 1e-9;         ///< max(ceiling() - floor, 1e-9)
+    std::vector<double> wfrac;  ///< weight_j / sum(weights); empty if sum<=0
+    std::vector<double> ws;     ///< ws_bytes_j, index-aligned with wfrac
+  };
+
   MissRatioCurve() = default;
   /// Throws std::invalid_argument unless 0 <= floor, weights >= 0,
   /// floor + sum(weights) <= 1, ws_bytes > 0 and steepness > 0.
@@ -71,6 +85,8 @@ class MissRatioCurve {
   /// floor / ceiling. 0 when the curve is all-reuse, ~1 for pure streams.
   double stream_fraction() const noexcept;
 
+  const SolveRecord& solve_record() const noexcept { return solve_; }
+
   /// Convenience constructors for the three behaviour classes used by the
   /// application catalog (see sim/core/catalog.cpp).
   static MissRatioCurve streaming(double intensity_floor);
@@ -83,6 +99,7 @@ class MissRatioCurve {
  private:
   double floor_ = 0.0;
   std::vector<MrcComponent> components_;
+  SolveRecord solve_;
 };
 
 /// Empirical MRC: a piecewise-linear table of (bytes, miss-ratio) samples,

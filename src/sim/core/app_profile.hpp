@@ -44,8 +44,6 @@ enum class AppClass {
 
 const char* to_string(AppClass c) noexcept;
 
-class MachineBatch;
-
 struct AppProfile {
   std::string name;      ///< paper workload name, e.g. "milc1", "gcc_base3"
   std::string suite;     ///< "SPEC CPU 2006" or "PARSEC 3.0"
@@ -64,16 +62,18 @@ class AppRuntime {
   explicit AppRuntime(const AppProfile* profile);
 
   const AppProfile& profile() const noexcept { return *profile_; }
-  const AppPhase& current_phase() const noexcept;
+  const AppPhase& current_phase() const noexcept {
+    return profile_->phases[phase_];
+  }
   std::size_t phase_index() const noexcept { return phase_; }
 
   /// Retire `instructions`; crosses phase boundaries and whole-run restarts
   /// as needed. Returns the number of runs completed during this advance.
   /// The stay-within-phase case — every quantum of a settled stretch — is
-  /// inlined so the steady-state replay and batched-stepping commit loops
-  /// pay a compare and two adds; boundary crossings take the out-of-line
-  /// slow path. The fast-path predicate and additions are exactly the ones
-  /// advance_slow's loop performs, so splitting changes no result bit.
+  /// inlined so the steady-state replay commit pays a compare and two
+  /// adds; boundary crossings take the out-of-line slow path. The
+  /// fast-path predicate and additions are exactly the ones advance_slow's
+  /// loop performs, so splitting changes no result bit.
   unsigned advance(double instructions) {
     const AppPhase& ph = profile_->phases[phase_];
     if (instructions > 0.0 && instructions < ph.instructions - into_phase_) {
@@ -84,15 +84,25 @@ class AppRuntime {
     return advance_slow(instructions);
   }
 
-  /// The stay-within-phase half of advance(), for callers that have
-  /// already proven `instructions` cannot reach the phase boundary (the
-  /// batched stepping engine budgets whole quanta against
-  /// phase_remaining() with a safety margin). Performs exactly the writes
-  /// advance()'s fast path performs — same two additions, zero
-  /// completions — so using it changes no result bit.
-  void advance_within_phase(double instructions) {
-    retired_total_ += instructions;
-    into_phase_ += instructions;
+  /// `times` calls of advance(instructions) for a caller that has proven
+  /// none of them reaches the phase boundary (Machine budgets replayed
+  /// quanta against phase_remaining() with a safety margin), calling
+  /// `each()` once per call. Performs exactly the additions advance()'s
+  /// fast path would, in the same order, so it changes no result bit; the
+  /// running values stay in registers, and so can the caller's own sums
+  /// that `each` advances in the same loop.
+  template <typename Each>
+  void advance_within_phase(double instructions, std::uint64_t times,
+                            Each&& each) {
+    double retired = retired_total_;
+    double into = into_phase_;
+    for (std::uint64_t k = 0; k < times; ++k) {
+      retired += instructions;
+      into += instructions;
+      each();
+    }
+    retired_total_ = retired;
+    into_phase_ = into;
   }
 
   /// Instructions left before the current phase's boundary.
@@ -109,12 +119,6 @@ class AppRuntime {
   void reset();
 
  private:
-  /// The batched stepping engine's bulk commit (MachineBatch::fused_run)
-  /// performs the same within-phase additions as advance_within_phase but
-  /// holds the running values in registers across a whole quanta chunk,
-  /// which needs direct access to the two accumulators.
-  friend class MachineBatch;
-
   /// The full phase-walking advance (boundary crossings and restarts).
   unsigned advance_slow(double instructions);
 

@@ -2,171 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
-#include "util/log.hpp"
 #include "util/trace.hpp"
 
 namespace dicer::sim {
-
-bool env_disables(const char* name) noexcept {
-  if (const char* env = std::getenv(name)) {
-    return std::string_view(env) != "" && std::string_view(env) != "0";
-  }
-  return false;
-}
-
-namespace {
-
-/// (Re)build the pure-function-of-phase fields of `pc` for `ph` and reset
-/// the memo. One implementation serves both the per-core slots and the
-/// batch-shared PhaseConstTable, so the two storage schemes cannot drift.
-void build_phase_const(PhaseConst& pc, const AppPhase* ph) {
-  pc.phase = ph;
-  pc.sf = ph->mrc.stream_fraction();
-  pc.one_minus_sf = 1.0 - pc.sf;
-  pc.floor_m = ph->mrc.floor();
-  pc.span_m = std::max(ph->mrc.ceiling() - pc.floor_m, 1e-9);
-  const auto& comps = ph->mrc.components();
-  double wsum = 0.0;
-  for (const auto& c : comps) wsum += c.weight;
-  pc.wfrac.clear();
-  pc.ws.clear();
-  if (wsum > 0.0) {
-    pc.wfrac.reserve(comps.size());
-    pc.ws.reserve(comps.size());
-    for (const auto& c : comps) {
-      pc.wfrac.push_back(c.weight / wsum);
-      pc.ws.push_back(c.ws_bytes);
-    }
-  }
-  pc.memo_occ = -1.0;
-}
-
-/// The damped fixed point over one lane's active set, operating on the
-/// lane's flat scratch arrays in place. Pure code motion from
-/// Machine::solve_quantum (identical operations in identical order, so the
-/// floating-point results are bit-for-bit unchanged), parameterised on the
-/// lane state so a lone machine and a batch lane share one implementation.
-/// Returns true iff the final round reproduced every IPS bit-exactly;
-/// `rounds_used` reports how many rounds ran.
-bool solve_fixed_point(const MachineConfig& config,
-                       const std::vector<CacheRegion>& regions,
-                       MemoryLink& link,
-                       const std::vector<double>& mem_throttle,
-                       StepScratch& s, unsigned& rounds_used) {
-  const std::size_t n = s.active.size();
-  const double freq = config.freq_hz;
-  const double line = config.llc.line_bytes;
-
-  rounds_used = 0;
-  bool stable = false;
-  for (unsigned round = 0; round < config.fixed_point_rounds; ++round) {
-    // 1. Occupancy under current IPS estimates (Che working-set model).
-    //    Each MRC component becomes a reuse component whose touch rate is
-    //    proportional to its miss-mass weight.
-    for (std::size_t i = 0; i < n; ++i) {
-      const AppPhase& ph = *s.phase[i];
-      const PhaseConst& pc = *s.pc[i];
-      const double touch = ph.api * s.ips[i] * line;
-      auto& cd = s.cache_demand[i];
-      const std::size_t comps = pc.wfrac.size();
-      cd.reuse.resize(comps);
-      for (std::size_t j = 0; j < comps; ++j) {
-        cd.reuse[j].rate_bytes_per_sec =
-            touch * pc.one_minus_sf * pc.wfrac[j];
-        cd.reuse[j].footprint_bytes = pc.ws[j];
-      }
-      cd.stream_bytes_per_sec = touch * pc.sf;
-    }
-    solve_occupancy(regions, s.cache_demand, config.occupancy, s.occupancy,
-                    s.occ);
-
-    // 2. Miss ratios and bandwidth demand. Occupancies repeat across
-    //    rounds/quanta in steady state, so each core memoises its last
-    //    (occupancy, miss) evaluation.
-    for (std::size_t i = 0; i < n; ++i) {
-      PhaseConst& pc = *s.pc[i];
-      if (s.occ[i] != pc.memo_occ) {
-        pc.memo_occ = s.occ[i];
-        pc.memo_miss = s.phase[i]->mrc.at(s.occ[i]);
-      }
-      s.miss[i] = pc.memo_miss;
-      s.demand[i] = s.phase[i]->api * s.miss[i] * s.ips[i] * line *
-                    (1.0 + s.phase[i]->wb_ratio);
-    }
-    link.arbitrate_into(s.demand, s.arb);
-
-    // 3. New IPC estimates under the arbitrated latency; bandwidth cap when
-    //    the link is oversubscribed. The LLC hit path is shared too: ring /
-    //    LLC-port pressure from everyone's access rate inflates it.
-    double total_accesses = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      total_accesses += s.phase[i]->api * s.ips[i];
-    }
-    const double hit_latency =
-        config.llc_hit_latency_cycles *
-        (1.0 +
-         config.uncore_contention_coeff *
-             std::sqrt(std::min(
-                 total_accesses / config.uncore_access_ref_per_sec, 1.0)));
-    double worst_rel = 0.0;
-    bool round_stable = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      const AppPhase& ph = *s.phase[i];
-      const PhaseConst& pc = *s.pc[i];
-      // Cache starvation serialises reuse misses: degrade MLP with the
-      // excess miss ratio above the app's best case.
-      const double excess =
-          std::clamp((s.miss[i] - pc.floor_m) / pc.span_m, 0.0, 1.0);
-      const double mlp_eff =
-          ph.mlp *
-          (1.0 - config.mlp_squeeze * excess);
-      // An MBA throttle delays a core's memory requests: its exposed memory
-      // latency stretches by 1/throttle, and its demand falls as its IPS
-      // falls — the same route real MBA takes effect through.
-      const double cpi =
-          ph.cpi_core +
-          ph.api *
-              ((1.0 - s.miss[i]) * hit_latency +
-               s.miss[i] * s.arb.effective_latency_cycles /
-                   (mlp_eff * mem_throttle[s.active[i]]));
-      const double target = freq / cpi;
-      const double next =
-          config.fixed_point_damping * target +
-          (1.0 - config.fixed_point_damping) * s.ips[i];
-      if (next != s.ips[i]) round_stable = false;
-      worst_rel = std::max(worst_rel, std::fabs(next - s.ips[i]) /
-                                          std::max(s.ips[i], 1.0));
-      s.ips[i] = next;
-    }
-    ++rounds_used;
-    if (worst_rel < 1e-4) {
-      // The damped update is idempotent once a round reproduces every IPS
-      // bit-exactly (round_stable, i.e. worst_rel == 0): the remaining
-      // rounds are provably no-ops. The looser tolerance break subsumes
-      // that exit, so this preserves the exact historical exit round;
-      // round_stable's job is to license cross-quantum replay.
-      stable = round_stable;
-      break;
-    }
-  }
-  return stable;
-}
-
-}  // namespace
-
-PhaseConst& PhaseConstTable::get(const AppPhase* phase) {
-  const auto [it, inserted] = map_.try_emplace(phase);
-  if (inserted) build_phase_const(it->second, phase);
-  return it->second;
-}
-
-bool batch_stepping_enabled(const MachineConfig& config) noexcept {
-  return config.batch_stepping && !env_disables("DICER_NO_BATCH");
-}
 
 void SolverStats::merge(const SolverStats& other) {
   quanta += other.quanta;
@@ -200,7 +40,7 @@ Machine::Machine(const MachineConfig& config)
       telemetry_(config.num_cores),
       ips_seed_(config.num_cores, 0.0),
       link_(config.link),
-      phase_const_(config.num_cores) {
+      memo_(config.num_cores) {
   if (config_.num_cores == 0 || config_.num_cores > 64) {
     throw std::invalid_argument("Machine: core count outside 1..64");
   }
@@ -213,10 +53,6 @@ Machine::Machine(const MachineConfig& config)
   if (config_.freq_hz <= 0.0) {
     throw std::invalid_argument("Machine: frequency must be > 0");
   }
-  if (env_disables("DICER_NO_SOLVER_SHORTCUTS")) {
-    config_.solver_shortcuts = false;
-  }
-  config_.batch_stepping = batch_stepping_enabled(config_);
   stats_.rounds_hist.assign(std::max(config_.fixed_point_rounds, 1u), 0);
 }
 
@@ -263,7 +99,7 @@ void Machine::attach(unsigned core, const AppProfile* profile) {
   }
   apps_[core].emplace(profile);
   ips_seed_[core] = 0.0;
-  phase_const_[core].phase = nullptr;
+  memo_[core].phase = nullptr;
   invalidate_regions();
 }
 
@@ -278,7 +114,7 @@ void Machine::detach(unsigned core) {
   // like an orchestrator returning the core's CLOS to CLOS0.
   masks_[core] = WayMask::full(config_.llc.ways);
   mem_throttle_[core] = 1.0;
-  phase_const_[core].phase = nullptr;
+  memo_[core].phase = nullptr;
   invalidate_regions();
 }
 
@@ -429,25 +265,16 @@ bool Machine::solve_quantum() {
   auto& s = scratch_;
   const std::size_t n = s.active.size();
   const double freq = config_.freq_hz;
+  const double line = config_.llc.line_bytes;
   refresh_regions();
 
-  s.pc.clear();
+  s.rec.clear();
   s.ips.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const unsigned core = s.active[i];
     const AppPhase* ph = s.phase[i];
-    PhaseConst* pc;
-    if (shared_phases_) {
-      // Batched: one PhaseConst per distinct phase across every lane of the
-      // batch. Same values as the per-core slot (both are built by
-      // build_phase_const and the memo is value-pure), one copy instead of
-      // cores x machines.
-      pc = &shared_phases_->get(ph);
-    } else {
-      pc = &phase_const_[core];
-      if (pc->phase != ph) build_phase_const(*pc, ph);
-    }
-    s.pc.push_back(pc);
+    s.rec.push_back(&ph->mrc.solve_record());
+    if (memo_[core].phase != ph) memo_[core] = MissMemo{ph};
 
     // Warm-started state.
     const double seed = ips_seed_[core];
@@ -460,9 +287,92 @@ bool Machine::solve_quantum() {
   s.cache_demand.resize(n);
 
   unsigned rounds_used = 0;
-  const bool stable =
-      solve_fixed_point(config_, regions_, link_, mem_throttle_, s,
-                        rounds_used);
+  bool stable = false;
+  for (unsigned round = 0; round < config_.fixed_point_rounds; ++round) {
+    // 1. Occupancy under current IPS estimates (Che working-set model).
+    //    Each MRC component becomes a reuse component whose touch rate is
+    //    proportional to its miss-mass weight.
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& rec = *s.rec[i];
+      const double touch = s.phase[i]->api * s.ips[i] * line;
+      auto& cd = s.cache_demand[i];
+      const std::size_t comps = rec.wfrac.size();
+      cd.reuse.resize(comps);
+      for (std::size_t j = 0; j < comps; ++j) {
+        cd.reuse[j].rate_bytes_per_sec =
+            touch * rec.one_minus_sf * rec.wfrac[j];
+        cd.reuse[j].footprint_bytes = rec.ws[j];
+      }
+      cd.stream_bytes_per_sec = touch * rec.sf;
+    }
+    solve_occupancy(regions_, s.cache_demand, config_.occupancy, s.occupancy,
+                    s.occ);
+
+    // 2. Miss ratios (memoised per core) and bandwidth demand.
+    for (std::size_t i = 0; i < n; ++i) {
+      MissMemo& memo = memo_[s.active[i]];
+      if (s.occ[i] != memo.occ) {
+        memo.occ = s.occ[i];
+        memo.miss = s.phase[i]->mrc.at(s.occ[i]);
+      }
+      s.miss[i] = memo.miss;
+      s.demand[i] = s.phase[i]->api * s.miss[i] * s.ips[i] * line *
+                    (1.0 + s.phase[i]->wb_ratio);
+    }
+    link_.arbitrate_into(s.demand, s.arb);
+
+    // 3. New IPC estimates under the arbitrated latency; bandwidth cap when
+    //    the link is oversubscribed. The LLC hit path is shared too: ring /
+    //    LLC-port pressure from everyone's access rate inflates it.
+    double total_accesses = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      total_accesses += s.phase[i]->api * s.ips[i];
+    }
+    const double hit_latency =
+        config_.llc_hit_latency_cycles *
+        (1.0 +
+         config_.uncore_contention_coeff *
+             std::sqrt(std::min(
+                 total_accesses / config_.uncore_access_ref_per_sec, 1.0)));
+    double worst_rel = 0.0;
+    bool round_stable = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      const AppPhase& ph = *s.phase[i];
+      const auto& rec = *s.rec[i];
+      // Cache starvation serialises reuse misses: degrade MLP with the
+      // excess miss ratio above the app's best case.
+      const double excess =
+          std::clamp((s.miss[i] - rec.floor) / rec.span, 0.0, 1.0);
+      const double mlp_eff = ph.mlp * (1.0 - config_.mlp_squeeze * excess);
+      // An MBA throttle delays a core's memory requests: its exposed memory
+      // latency stretches by 1/throttle, and its demand falls as its IPS
+      // falls — the same route real MBA takes effect through.
+      const double cpi =
+          ph.cpi_core +
+          ph.api *
+              ((1.0 - s.miss[i]) * hit_latency +
+               s.miss[i] * s.arb.effective_latency_cycles /
+                   (mlp_eff * mem_throttle_[s.active[i]]));
+      const double target = freq / cpi;
+      const double next =
+          config_.fixed_point_damping * target +
+          (1.0 - config_.fixed_point_damping) * s.ips[i];
+      if (next != s.ips[i]) round_stable = false;
+      worst_rel = std::max(worst_rel, std::fabs(next - s.ips[i]) /
+                                          std::max(s.ips[i], 1.0));
+      s.ips[i] = next;
+    }
+    ++rounds_used;
+    if (worst_rel < 1e-4) {
+      // The damped update is idempotent once a round reproduces every IPS
+      // bit-exactly (round_stable, i.e. worst_rel == 0): the remaining
+      // rounds are provably no-ops. The looser tolerance break subsumes
+      // that exit, so this preserves the exact historical exit round;
+      // round_stable's job is to license cross-quantum replay.
+      stable = round_stable;
+      break;
+    }
+  }
 
   ++stats_.solves;
   if (rounds_used > 0) {
@@ -478,16 +388,98 @@ bool Machine::solve_quantum() {
   return stable;
 }
 
-void Machine::run_for(double seconds) {
-  const auto quanta = static_cast<std::uint64_t>(
-      std::ceil(seconds / config_.quantum_sec - 1e-9));
-  for (std::uint64_t q = 0; q < std::max<std::uint64_t>(quanta, 1); ++q) {
-    step();
+std::uint64_t Machine::replay_budget(std::uint64_t quanta) const {
+  const auto& cache = solve_cache_;
+  if (!cache.armed) return 0;
+  // A kQuantum consumer needs step()'s per-quantum event.
+  if (trace::resolve(config_.tracer).enabled(trace::Kind::kQuantum)) return 0;
+  // While armed, no actuator has touched the machine since the solve, and
+  // scratch still holds that solve indexed like cache.active. What remains
+  // of step()'s fingerprint compare is the phases: the last commit may
+  // have crossed a boundary (the next step() re-solves then). Per core,
+  // the quanta that provably stay inside the phase are
+  // floor(remaining / instr) minus a 2-quantum margin; the margin dominates
+  // the rounding k additions of `instr` accumulate by many orders of
+  // magnitude, so advance()'s boundary test would pass on every one. A
+  // core with room for all `quanta` plus the margin needs no division.
+  const double dt = config_.quantum_sec;
+  const double wanted = static_cast<double>(quanta);
+  double budget = wanted;
+  for (std::size_t i = 0; i < cache.active.size(); ++i) {
+    const AppRuntime& rt = *apps_[cache.active[i]];
+    if (&rt.current_phase() != cache.phase[i]) return 0;
+    const double instr = scratch_.ips[i] * dt;
+    if (!(instr > 0.0)) return 0;
+    const double remaining = rt.phase_remaining();
+    if (remaining > (wanted + 2.0) * instr) continue;
+    budget = std::min(budget, remaining / instr - 2.0);
+  }
+  // The cast truncates, which is the floor for the positive budgets used.
+  return budget >= 1.0 ? static_cast<std::uint64_t>(budget) : 0;
+}
+
+void Machine::commit_replays(std::uint64_t quanta) {
+  // Exactly the additions `quanta` replayed step() commits perform, in the
+  // same order per accumulator (never a multiply: FP addition does not
+  // distribute), with the loops interchanged so all five running sums of
+  // a core advance together in registers. The replay's other writes
+  // (occupancy_bytes, last_quantum_ipc, the IPS seed, zero completions)
+  // rewrite unchanged values and are skipped.
+  const double dt = config_.quantum_sec;
+  const double cycles = config_.freq_hz * dt;
+  double t = time_sec_;
+  for (std::uint64_t q = 0; q < quanta; ++q) t += dt;
+  time_sec_ = t;
+  stats_.quanta += quanta;
+  stats_.replays += quanta;
+  const auto& s = scratch_;
+  for (std::size_t i = 0; i < solve_cache_.active.size(); ++i) {
+    const unsigned core = solve_cache_.active[i];
+    const double instr = s.ips[i] * dt;
+    const double bytes = s.arb.achieved_bytes_per_sec[i] * dt;
+    auto& tel = telemetry_[core];
+    double t_instr = tel.instructions;
+    double t_cycles = tel.active_cycles;
+    double t_mem = tel.mem_bytes;
+    apps_[core]->advance_within_phase(instr, quanta, [&] {
+      t_instr += instr;
+      t_cycles += cycles;
+      t_mem += bytes;
+    });
+    tel.instructions = t_instr;
+    tel.active_cycles = t_cycles;
+    tel.mem_bytes = t_mem;
   }
 }
 
+void Machine::run_quanta(std::uint64_t quanta) {
+  while (quanta > 0) {
+    const std::uint64_t bulk = replay_budget(quanta);
+    if (bulk > 0) {
+      commit_replays(bulk);
+      quanta -= bulk;
+    } else {
+      step();
+      --quanta;
+    }
+  }
+}
+
+void Machine::run_for(double seconds) {
+  const auto quanta = static_cast<std::uint64_t>(
+      std::ceil(seconds / config_.quantum_sec - 1e-9));
+  run_quanta(std::max<std::uint64_t>(quanta, 1));
+}
+
 void Machine::run_until(double t_sec) {
-  while (time_sec_ < t_sec - 1e-9) step();
+  // The quanta `while (time_sec() < t_sec - 1e-9) step();` would take,
+  // counted by replaying its own time additions, so a bulk commit can run
+  // right up to the boundary with no stepped tail.
+  std::uint64_t quanta = 0;
+  for (double t = time_sec_; t < t_sec - 1e-9; t += config_.quantum_sec) {
+    ++quanta;
+  }
+  run_quanta(quanta);
 }
 
 }  // namespace dicer::sim

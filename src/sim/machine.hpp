@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/cache/occupancy_model.hpp"
@@ -47,19 +46,11 @@ struct MachineConfig {
   /// reproduces every per-core IPS bit-exactly, the solve is at a
   /// floating-point fixed point, and a later quantum whose inputs
   /// (active set, per-core phase, fill masks, MBA throttles) are unchanged
-  /// replays the cached solution instead of re-running the rounds. Results
-  /// are byte-identical either way — the flag (and the
-  /// DICER_NO_SOLVER_SHORTCUTS env override, any value but "" or "0")
-  /// exists so equivalence tests can pit the two paths against each other.
+  /// replays the cached solution instead of re-running the rounds (and
+  /// run_for/run_until commit whole stretches of such quanta at once).
+  /// Results are byte-identical either way; the flag exists so the tests
+  /// can pit the solve-every-quantum reference path against the fast one.
   bool solver_shortcuts = true;
-  /// Allow a sim::MachineBatch to drive this machine's steady-state quanta
-  /// through the batched fused-replay path. Like the solver shortcuts, the
-  /// batched path is byte-identical to serial Machine::step by construction
-  /// — the flag (and the DICER_NO_BATCH env override, any value but "" or
-  /// "0") exists as an escape hatch and so equivalence tests can pit the
-  /// two paths against each other. Consumers that choose a chunking before
-  /// any machine exists consult batch_stepping_enabled().
-  bool batch_stepping = true;
   double freq_hz = 2.2e9;
   CacheGeometry llc{};                   ///< 25 MB, 20-way, 64 B lines
   MemoryLinkConfig link{};               ///< 68.3 Gbps
@@ -131,51 +122,14 @@ struct CoreTelemetry {
   double last_quantum_ipc = 0.0; ///< diagnostic convenience
 };
 
-/// Per-phase constants hoisted out of the fixed-point rounds: they only
-/// change when the app on the core enters a new phase (or the core is
-/// re-attached), not once per round of every quantum. `phase` is the
-/// identity key; all fields but the memo pair are pure functions of that
-/// phase, which is what lets a MachineBatch share one PhaseConst per
-/// distinct phase across every lane.
-struct PhaseConst {
-  const AppPhase* phase = nullptr;
-  double sf = 0.0;            ///< mrc.stream_fraction()
-  double one_minus_sf = 1.0;  ///< 1 - sf, as the demand split computes it
-  double floor_m = 0.0;       ///< mrc.floor()
-  double span_m = 1e-9;       ///< max(mrc.ceiling() - floor, 1e-9)
-  std::vector<double> wfrac;  ///< weight_j / sum(weights); empty if sum<=0
-  std::vector<double> ws;     ///< component working-set bytes (with wfrac)
-  double memo_occ = -1.0;     ///< last mrc.at() argument on this core
-  double memo_miss = 1.0;     ///< and its value (occupancies repeat in
-                              ///< steady state; at() is pow-heavy)
-};
-
-/// Deduplicated PhaseConst storage keyed by phase identity: machines in a
-/// MachineBatch share one table, so N lanes running the same app build (and
-/// keep hot) one PhaseConst per distinct phase instead of one per core per
-/// machine. The memo pair is value-safe to share — mrc.at() is pure, so a
-/// memo refresh from any lane reproduces the exact value every lane would
-/// compute. Node-based map: references stay stable across inserts.
-/// Not thread-safe; a batch (and thus its table) is driven by one thread
-/// at a time.
-class PhaseConstTable {
- public:
-  /// The shared PhaseConst for `phase`, built on first use.
-  PhaseConst& get(const AppPhase* phase);
-  std::size_t size() const noexcept { return map_.size(); }
-
- private:
-  std::unordered_map<const AppPhase*, PhaseConst> map_;
-};
-
 /// Buffers reused across quanta so the steady-state step() performs no
-/// heap allocation. Sized to the active-app count each step; one lane's
-/// arrays are the flat per-slot state the fixed point iterates over.
+/// heap allocation. Sized to the active-app count each step; the arrays
+/// are the flat per-slot state the fixed point iterates over.
 struct StepScratch {
   std::vector<unsigned> active;
   std::vector<WayMask> active_masks;
   std::vector<const AppPhase*> phase;
-  std::vector<PhaseConst*> pc;
+  std::vector<const MissRatioCurve::SolveRecord*> rec;  ///< phase->mrc's
   std::vector<double> ips;
   std::vector<double> occ;
   std::vector<double> miss;
@@ -184,20 +138,6 @@ struct StepScratch {
   LinkArbitration arb;
   OccupancyScratch occupancy;
 };
-
-/// True when the env var `name` is set to anything but "" or "0" — the
-/// shared shape of every DICER_NO_* escape hatch (DICER_NO_BATCH,
-/// DICER_NO_SOLVER_SHORTCUTS).
-bool env_disables(const char* name) noexcept;
-
-/// Whether batched stepping is in force for machines built from `config`:
-/// the config flag, unless the DICER_NO_BATCH env override (any value but
-/// "" or "0") vetoes it. Consumers (sweep chunking, fleet sharding) call
-/// this before any Machine exists; Machine's constructor resolves the same
-/// answer into config().batch_stepping.
-bool batch_stepping_enabled(const MachineConfig& config) noexcept;
-
-class MachineBatch;
 
 class Machine {
  public:
@@ -231,13 +171,17 @@ class Machine {
   void set_mem_throttle(unsigned core, double fraction);
   double mem_throttle(unsigned core) const;
 
-  /// Advance one quantum (config().quantum_sec).
+  /// Advance one quantum (config().quantum_sec): solve it, or replay the
+  /// cached solve when its inputs are unchanged, then commit it.
   void step();
   /// Advance by `seconds` in whole quanta (rounds up to >= 1 quantum).
+  /// Bit-identical to calling step() that many times; replayed quanta that
+  /// provably stay inside every app's phase are committed in bulk.
   void run_for(double seconds);
   /// Advance until time_sec() >= t_sec (no-op if already there). Unlike
   /// run_for, never overshoots by a whole interval — the fleet layer uses
-  /// it to land every machine exactly on an epoch boundary.
+  /// it to land every machine exactly on an epoch boundary. Bit-identical
+  /// to stepping, like run_for.
   void run_until(double t_sec);
 
   const CoreTelemetry& telemetry(unsigned core) const;
@@ -271,6 +215,15 @@ class Machine {
     std::vector<const AppPhase*> phase;
   };
 
+  /// The last mrc.at() evaluation on a core: occupancies repeat across
+  /// rounds and quanta in steady state, and at() is pow-heavy. Keyed by
+  /// the phase it was evaluated for.
+  struct MissMemo {
+    const AppPhase* phase = nullptr;
+    double occ = -1.0;
+    double miss = 1.0;
+  };
+
   void check_core(unsigned core) const;
   void refresh_regions();
   void invalidate_regions() noexcept;
@@ -279,11 +232,17 @@ class Machine {
   /// result); returns true iff the final round reproduced every IPS
   /// bit-exactly.
   bool solve_quantum();
-
-  /// MachineBatch snapshots the scratch/solve-cache state to fuse replayed
-  /// quanta and installs shared_phases_; everything it reads or writes is
-  /// exactly what a serial replayed step() would.
-  friend class MachineBatch;
+  /// Advance `quanta` quanta: bulk replay commits where replay_budget()
+  /// allows, step() otherwise.
+  void run_quanta(std::uint64_t quanta);
+  /// How many of the next `quanta` quanta (at most) step() would provably
+  /// replay without any app reaching its phase boundary (0 when the solve
+  /// cache is disarmed, a phase already drifted, or a kQuantum consumer
+  /// listens).
+  std::uint64_t replay_budget(std::uint64_t quanta) const;
+  /// Commit `quanta` replayed quanta at once: the writes that many step()
+  /// replays make, with the running sums held in registers.
+  void commit_replays(std::uint64_t quanta);
 
   MachineConfig config_;
   double time_sec_ = 0.0;
@@ -295,12 +254,7 @@ class Machine {
   MemoryLink link_;
   double last_rho_ = 0.0;
   double last_traffic_ = 0.0;
-  std::vector<PhaseConst> phase_const_;  ///< per core (unbatched machines)
-  /// Batch-shared PhaseConst storage: set by MachineBatch::add, cleared by
-  /// the batch's destructor. While set, solve_quantum resolves PhaseConsts
-  /// through the table instead of the per-core slots — same values either
-  /// way, one copy per distinct phase across the whole batch.
-  PhaseConstTable* shared_phases_ = nullptr;
+  std::vector<MissMemo> memo_;  ///< per core
   std::vector<CacheRegion> regions_;     ///< cached decomposition
   bool regions_valid_ = false;
   StepScratch scratch_;

@@ -1,8 +1,12 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <iostream>
+
+#include "util/log.hpp"
 
 namespace dicer::util {
 
@@ -46,7 +50,7 @@ std::string CliArgs::get_or(const std::string& key,
 namespace {
 
 [[noreturn]] void bad_value(const std::string& key, const std::string& value,
-                            const char* expected) {
+                            const std::string& expected) {
   throw CliError("invalid value for --" + key + ": '" + value +
                  "' (expected " + expected + ")");
 }
@@ -90,6 +94,30 @@ void CliArgs::reject_unknown() const {
   for (const auto& [key, value] : kv_) {
     if (read_.count(key) == 0) throw CliError("unknown flag --" + key);
   }
+}
+
+unsigned jobs_flag(const CliArgs& args) {
+  const long jobs = args.get_int("jobs", 0);
+  if (jobs < 0) {
+    bad_value("jobs", std::to_string(jobs), "a worker count >= 0, 0 = auto");
+  }
+  // resolve_jobs caps any request at 4x the hardware threads; saturate
+  // here so a count beyond `unsigned` cannot wrap past that cap.
+  return static_cast<unsigned>(
+      std::min<unsigned long>(static_cast<unsigned long>(jobs), UINT_MAX));
+}
+
+void apply_log_level_flag(const CliArgs& args) {
+  // Read DICER_LOG now, so a malformed value is reported at startup even
+  // by a run that never logs.
+  log_threshold();
+  const auto text = args.get("log-level");
+  if (!text) return;
+  const auto level = find_log_level(*text);
+  if (!level) {
+    bad_value("log-level", *text, std::string("one of ") + kLogLevelNames);
+  }
+  set_log_threshold(*level);
 }
 
 int cli_main_guard(const char* program, const std::function<int()>& body) {

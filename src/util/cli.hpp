@@ -58,6 +58,15 @@ class CliArgs {
   mutable std::set<std::string> read_;  ///< keys a getter or has() asked for
 };
 
+/// --jobs N as a worker request for ThreadPool::resolve_jobs (0, the
+/// default, means auto). A negative count throws CliError.
+unsigned jobs_flag(const CliArgs& args);
+
+/// Apply --log-level L, when given, to the log threshold (after DICER_LOG
+/// has been read and, if malformed, warned about). A value that is not a
+/// level name throws CliError naming the valid levels.
+void apply_log_level_flag(const CliArgs& args);
+
 /// Run `body` and translate CliError (and std::exception generally) into a
 /// one-line `program: error: ...` on stderr plus exit code 2 — the shared
 /// epilogue of every example/bench main:

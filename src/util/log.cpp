@@ -9,10 +9,20 @@ namespace dicer::util {
 
 namespace {
 
+LogLevel env_log_level() noexcept {
+  const char* env = std::getenv("DICER_LOG");
+  if (env == nullptr || *env == '\0') return LogLevel::kWarn;
+  if (const auto level = find_log_level(env)) return *level;
+  // The logger is not up yet (this initialises it), so write directly.
+  std::fprintf(stderr,
+               "[warn ] ignoring invalid DICER_LOG='%s' (expected one of "
+               "%s); using warn\n",
+               env, kLogLevelNames);
+  return LogLevel::kWarn;
+}
+
 std::atomic<int>& threshold_storage() noexcept {
-  static std::atomic<int> level{static_cast<int>(
-      parse_log_level(std::getenv("DICER_LOG") ? std::getenv("DICER_LOG")
-                                               : ""))};
+  static std::atomic<int> level{static_cast<int>(env_log_level())};
   return level;
 }
 
@@ -34,13 +44,13 @@ const char* prefix(LogLevel level) noexcept {
 
 }  // namespace
 
-LogLevel parse_log_level(const std::string& text, LogLevel def) noexcept {
+std::optional<LogLevel> find_log_level(const std::string& text) noexcept {
   if (text == "debug") return LogLevel::kDebug;
   if (text == "info") return LogLevel::kInfo;
   if (text == "warn") return LogLevel::kWarn;
   if (text == "error") return LogLevel::kError;
   if (text == "off") return LogLevel::kOff;
-  return def;
+  return std::nullopt;
 }
 
 LogLevel log_threshold() noexcept {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -11,15 +12,18 @@ namespace dicer::util {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
+/// The level names find_log_level accepts, for diagnostics.
+inline constexpr const char* kLogLevelNames = "debug, info, warn, error, off";
+
 /// Global threshold; initialised from the DICER_LOG environment variable
-/// (debug|info|warn|error|off) on first use, default kWarn.
+/// (debug|info|warn|error|off) on first use, default kWarn. A malformed
+/// DICER_LOG is reported once on stderr and leaves the default.
 LogLevel log_threshold() noexcept;
 void set_log_threshold(LogLevel level) noexcept;
 
-/// Parse "debug" | "info" | "warn" | "error" | "off"; `def` on anything
-/// else. Backs both DICER_LOG and the benches' --log-level flag.
-LogLevel parse_log_level(const std::string& text,
-                         LogLevel def = LogLevel::kWarn) noexcept;
+/// The level named "debug" | "info" | "warn" | "error" | "off"; nullopt on
+/// anything else. Backs both DICER_LOG and the --log-level flag.
+std::optional<LogLevel> find_log_level(const std::string& text) noexcept;
 
 bool log_enabled(LogLevel level) noexcept;
 

@@ -32,7 +32,17 @@ unsigned ThreadPool::hardware_workers() noexcept {
 }
 
 unsigned ThreadPool::resolve_jobs(unsigned requested, const char* env_var) {
-  if (requested != 0) return requested;
+  // More workers than 4x the hardware threads only adds contention; clamp
+  // (loudly) instead of oversubscribing by orders of magnitude, whether
+  // the count came from a flag or from the environment.
+  const unsigned long cap = 4ul * hardware_workers();
+  auto capped = [cap](unsigned long v, const char* source) {
+    if (v <= cap) return static_cast<unsigned>(v);
+    DICER_WARN << source << "=" << v << " exceeds 4x hardware "
+               << "concurrency; clamping to " << cap;
+    return static_cast<unsigned>(cap);
+  };
+  if (requested != 0) return capped(requested, "requested jobs");
   if (env_var != nullptr) {
     if (const char* env = std::getenv(env_var)) {
       // Strict parse: digits only. strtoul alone would accept leading
@@ -53,15 +63,7 @@ unsigned ThreadPool::resolve_jobs(unsigned requested, const char* env_var) {
                    << hardware_workers() << " workers";
         return hardware_workers();
       }
-      // More workers than 4x the hardware threads only adds contention;
-      // clamp (loudly) instead of oversubscribing by orders of magnitude.
-      const unsigned long cap = 4ul * hardware_workers();
-      if (v > cap) {
-        DICER_WARN << env_var << "=" << v << " exceeds 4x hardware "
-                   << "concurrency; clamping to " << cap;
-        return static_cast<unsigned>(cap);
-      }
-      return static_cast<unsigned>(v);
+      return capped(v, env_var);
     }
   }
   return hardware_workers();

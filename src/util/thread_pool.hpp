@@ -52,9 +52,9 @@ class ThreadPool {
   /// the environment variable `env_var` (when non-null), then falls back
   /// to hardware concurrency. The env value must be a plain unsigned
   /// integer — partial parses ("4x"), signs and whitespace are rejected
-  /// with a warning; 0 is diagnosed and ignored; values above 4x the
-  /// hardware thread count are clamped (with a warning) to that cap.
-  /// The result is always >= 1.
+  /// with a warning; 0 is diagnosed and ignored. A request or env value
+  /// above 4x the hardware thread count is clamped (with a warning) to
+  /// that cap. The result is always >= 1.
   static unsigned resolve_jobs(unsigned requested,
                                const char* env_var = nullptr);
 

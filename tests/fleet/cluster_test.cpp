@@ -186,20 +186,16 @@ TEST(Cluster, CsvIsByteIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial, run_csv(fc, 5));
 }
 
-// The same contract across the batched data plane: batch_stepping and
-// batch_machines are speed knobs, never result knobs.
-TEST(Cluster, CsvIsByteIdenticalAcrossBatchStepping) {
+// The same contract across the solver shortcuts: replayed solves and
+// run_until's bulk replay commits are speed, never results — the CSV must
+// match the reference that solves every quantum, at any worker count.
+TEST(Cluster, CsvIsByteIdenticalAcrossSolverShortcuts) {
   FleetConfig fc = small_config();
-  const std::string batched = run_csv(fc, 5);
-  fc.machine.batch_stepping = false;
-  const std::string unbatched = run_csv(fc, 5);
-  EXPECT_EQ(batched, unbatched);
-  fc = small_config();
-  fc.batch_machines = 5;  // uneven slices: 16 machines -> 5,5,5,1
+  const std::string fast = run_csv(fc, 5);
+  fc.machine.solver_shortcuts = false;
+  EXPECT_EQ(fast, run_csv(fc, 5));
   fc.jobs = 8;
-  EXPECT_EQ(batched, run_csv(fc, 5));
-  fc.batch_machines = 1;  // one machine per batch, degenerate chunking
-  EXPECT_EQ(batched, run_csv(fc, 5));
+  EXPECT_EQ(fast, run_csv(fc, 5));
 }
 
 // Churn replay: a fixed seed pins every placement decision, so two fleets

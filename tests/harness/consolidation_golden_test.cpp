@@ -15,8 +15,12 @@
 namespace dicer::harness {
 namespace {
 
+// A plain value with no pointer in it: gtest names each instance after the
+// raw bytes of an unprintable parameter, so a `const char*` here would put a
+// string-literal address (which moves with the build path and layout) into
+// the registered test names.
 struct Golden {
-  const char* policy;
+  char policy[8];
   double window_sec;
   double hp_ipc;
   double be_ipc_mean;

@@ -14,6 +14,7 @@
 #include "harness/solo.hpp"
 #include "metrics/metrics.hpp"
 #include "policy/baselines.hpp"
+#include "util/timer.hpp"
 
 namespace dicer::harness {
 namespace {
@@ -347,6 +348,22 @@ TEST(BaselineStudy, JobsInvariantAndEqualToPerPairRecomputation) {
   EXPECT_EQ(cached->entries.size(), 16u);
   std::remove(serial_path.c_str());
   std::remove(parallel_path.c_str());
+}
+
+TEST(BaselineStudy, SoloReferencesAreTimed) {
+  // The solo references run under their own `baseline.solo` scope, once
+  // per computed study (a cache hit runs none).
+  auto solo_count = [] {
+    for (const auto& [label, stat] :
+         trace::TimerRegistry::global().snapshot()) {
+      if (label == "baseline.solo") return stat.count;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t before = solo_count();
+  baseline_study(small_catalog(), small_config(), "",
+                 /*force_recompute=*/false, /*jobs=*/1);
+  EXPECT_EQ(solo_count(), before + 1);
 }
 
 TEST(BaselineCache, ConcurrentSaversNeverCorruptTheCache) {

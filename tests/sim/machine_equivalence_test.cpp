@@ -128,26 +128,5 @@ TEST(MachineEquivalence, ShortcutsAreBitIdenticalUnderRandomChurn) {
   EXPECT_EQ(sb.solves, sb.quanta);
 }
 
-TEST(MachineEquivalence, EnvEscapeHatchDisablesShortcuts) {
-  // DICER_NO_SOLVER_SHORTCUTS (any value but "" or "0") must force the
-  // solve path even when the config asks for shortcuts — it is the knob
-  // the equivalence harness and bisection sessions reach for.
-  ASSERT_EQ(setenv("DICER_NO_SOLVER_SHORTCUTS", "1", 1), 0);
-  Machine m{MachineConfig{}};
-  unsetenv("DICER_NO_SOLVER_SHORTCUTS");
-  EXPECT_FALSE(m.config().solver_shortcuts);
-
-  const auto& catalog = default_catalog();
-  m.attach(0, &catalog.at(0));
-  for (int i = 0; i < 500; ++i) m.step();
-  EXPECT_EQ(m.solver_stats().replays, 0u);
-  EXPECT_EQ(m.solver_stats().solves, m.solver_stats().quanta);
-
-  ASSERT_EQ(setenv("DICER_NO_SOLVER_SHORTCUTS", "0", 1), 0);
-  Machine still_on{MachineConfig{}};
-  unsetenv("DICER_NO_SOLVER_SHORTCUTS");
-  EXPECT_TRUE(still_on.config().solver_shortcuts);
-}
-
 }  // namespace
 }  // namespace dicer::sim

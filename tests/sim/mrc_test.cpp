@@ -17,6 +17,43 @@ TEST(MissRatioCurve, DefaultIsZeroMiss) {
   EXPECT_DOUBLE_EQ(mrc.ceiling(), 0.0);
 }
 
+TEST(MissRatioCurve, SolveRecordMatchesTheCurve) {
+  // The machine's fixed point reads these instead of the accessors; they
+  // must be exactly what the accessors give.
+  const auto mrc = MissRatioCurve(0.1, {{0.2, 4 * MB, 1.5},
+                                        {0.0, 8 * MB, 1.0},
+                                        {0.6, 16 * MB, 2.0}});
+  const auto& rec = mrc.solve_record();
+  EXPECT_EQ(rec.floor, mrc.floor());
+  EXPECT_EQ(rec.sf, mrc.stream_fraction());
+  EXPECT_EQ(rec.one_minus_sf, 1.0 - mrc.stream_fraction());
+  EXPECT_EQ(rec.span, mrc.ceiling() - mrc.floor());
+  const double wsum = 0.2 + 0.0 + 0.6;
+  ASSERT_EQ(rec.wfrac.size(), 3u);
+  ASSERT_EQ(rec.ws.size(), 3u);
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(rec.wfrac[j], mrc.components()[j].weight / wsum) << j;
+    EXPECT_EQ(rec.ws[j], mrc.components()[j].ws_bytes) << j;
+  }
+  EXPECT_EQ(rec.wfrac[1], 0.0);  // a zero weight keeps its slot
+
+  // All-zero weights: no reuse components, and a floor-only span.
+  const auto flat = MissRatioCurve(0.4, {{0.0, MB, 1.0}});
+  EXPECT_TRUE(flat.solve_record().wfrac.empty());
+  EXPECT_TRUE(flat.solve_record().ws.empty());
+  EXPECT_EQ(flat.solve_record().sf, 1.0);
+  EXPECT_EQ(flat.solve_record().one_minus_sf, 0.0);
+  EXPECT_EQ(flat.solve_record().span, 1e-9);
+
+  // A default-constructed curve: all reuse, zero floor and ceiling.
+  const MissRatioCurve empty;
+  EXPECT_EQ(empty.solve_record().sf, 0.0);
+  EXPECT_EQ(empty.solve_record().one_minus_sf, 1.0);
+  EXPECT_EQ(empty.solve_record().floor, 0.0);
+  EXPECT_EQ(empty.solve_record().span, 1e-9);
+  EXPECT_TRUE(empty.solve_record().wfrac.empty());
+}
+
 TEST(MissRatioCurve, CeilingAtZeroBytes) {
   const auto mrc = MissRatioCurve::single_knee(0.6, 2 * MB, 0.1);
   EXPECT_DOUBLE_EQ(mrc.at(0.0), 0.7);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <string>
+
+#include "util/log.hpp"
+
 namespace dicer::util {
 namespace {
 
@@ -168,6 +173,32 @@ TEST(CliMainGuard, TranslatesOtherExceptionsToExitOne) {
 TEST(CliMainGuard, PassesThroughReturnCode) {
   EXPECT_EQ(cli_main_guard("prog", [] { return 0; }), 0);
   EXPECT_EQ(cli_main_guard("prog", [] { return 3; }), 3);
+}
+
+TEST(CliArgs, JobsFlagRejectsNegativeAndSaturates) {
+  EXPECT_EQ(jobs_flag(make({"prog"})), 0u);
+  EXPECT_EQ(jobs_flag(make({"prog", "--jobs", "3"})), 3u);
+  EXPECT_THROW(jobs_flag(make({"prog", "--jobs", "-1"})), CliError);
+  // Beyond `unsigned`: saturates (resolve_jobs then caps), never wraps.
+  EXPECT_EQ(jobs_flag(make({"prog", "--jobs", "8589934593"})), UINT_MAX);
+}
+
+TEST(CliArgs, LogLevelFlagRejectsUnknownLevels) {
+  const LogLevel saved = log_threshold();
+  apply_log_level_flag(make({"prog"}));  // absent: untouched
+  EXPECT_EQ(log_threshold(), saved);
+  apply_log_level_flag(make({"prog", "--log-level", "error"}));
+  EXPECT_EQ(log_threshold(), LogLevel::kError);
+  try {
+    apply_log_level_flag(make({"prog", "--log-level", "verbose"}));
+    ADD_FAILURE() << "expected CliError";
+  } catch (const CliError& e) {
+    EXPECT_NE(std::string(e.what()).find("debug, info, warn, error, off"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(log_threshold(), LogLevel::kError);
+  set_log_threshold(saved);
 }
 
 }  // namespace

@@ -18,7 +18,12 @@ std::string slurp(const std::string& path) {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/csv_test.csv";
+  // Named after the test: ctest runs the fixture's tests in parallel
+  // processes, which must not share one file.
+  std::string path_ =
+      ::testing::TempDir() + "/csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -15,9 +15,14 @@ namespace dicer::util {
 namespace {
 
 /// Redirects the logger to a temp file for one test, restoring stderr and
-/// the previous threshold afterwards.
+/// the previous threshold afterwards. The file is named after the test:
+/// ctest runs each test in its own process, in parallel, so a shared name
+/// lets one test's capture truncate or delete another's.
 struct CapturedLog {
-  std::string path = ::testing::TempDir() + "/dicer_log_capture.txt";
+  std::string path =
+      ::testing::TempDir() + "/dicer_log_capture_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
   std::FILE* file = nullptr;
   LogLevel saved = log_threshold();
 
@@ -42,14 +47,16 @@ struct CapturedLog {
 };
 
 TEST(Log, ParseLevelCoversAllNamesAndDefaults) {
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("info"), LogLevel::kInfo);
-  EXPECT_EQ(parse_log_level("warn"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("error"), LogLevel::kError);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level(""), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("bogus"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("bogus", LogLevel::kOff), LogLevel::kOff);
+  EXPECT_EQ(find_log_level("debug"), LogLevel::kDebug);
+  EXPECT_EQ(find_log_level("info"), LogLevel::kInfo);
+  EXPECT_EQ(find_log_level("warn"), LogLevel::kWarn);
+  EXPECT_EQ(find_log_level("error"), LogLevel::kError);
+  EXPECT_EQ(find_log_level("off"), LogLevel::kOff);
+  // No silent default: the callers decide (the flag rejects, the env var
+  // warns and keeps kWarn).
+  EXPECT_EQ(find_log_level(""), std::nullopt);
+  EXPECT_EQ(find_log_level("bogus"), std::nullopt);
+  EXPECT_EQ(find_log_level("DEBUG"), std::nullopt);
 }
 
 TEST(Log, ThresholdFiltersAndPrefixes) {

@@ -88,6 +88,18 @@ TEST(ResolveJobs, ExplicitRequestWins) {
   EXPECT_EQ(ThreadPool::resolve_jobs(3, kVar), 3u);
 }
 
+TEST(ResolveJobs, ClampsExplicitOversubscription) {
+  // A --jobs value reaches resolve_jobs unchanged, so the explicit path
+  // needs the env path's cap: never 100k (or 2^32 - 1) pool threads.
+  // Only resolves the count; no pool is built.
+  const unsigned cap = 4u * ThreadPool::hardware_workers();
+  EnvGuard env(kVar, nullptr);
+  EXPECT_EQ(ThreadPool::resolve_jobs(100000, kVar), cap);
+  EXPECT_EQ(ThreadPool::resolve_jobs(4294967295u, nullptr), cap);
+  EXPECT_EQ(ThreadPool::resolve_jobs(cap, nullptr), cap);
+  EXPECT_EQ(ThreadPool::resolve_jobs(1, nullptr), 1u);
+}
+
 TEST(ResolveJobs, ReadsEnvWhenUnrequested) {
   // 2 is always under the clamp (4x hardware concurrency, >= 4).
   EnvGuard env(kVar, "2");
