@@ -27,41 +27,72 @@ namespace {
 
 using namespace dicer;
 
-void BM_MachineStep10Apps(benchmark::State& state) {
-  sim::Machine machine{sim::MachineConfig{}};
-  const auto& catalog = sim::default_catalog();
-  for (unsigned c = 0; c < 10; ++c) {
-    machine.attach(c, &catalog.at(c * 5));
-  }
+// The two per-quantum step benches give every iteration the same work:
+// copy one machine warmed for its first second (timing paused) and step
+// it the Arg's number of quanta: 1000, ten simulated seconds that mix
+// phase-change solves with replays. Stepping from t=0 for as many quanta
+// as the framework picks would average a different stretch of the phase
+// trajectory in every binary, so readings would move without a code
+// change.
+constexpr unsigned kStepWarmupQuanta = 100;
+
+void step_fixed_quanta(benchmark::State& state, const sim::Machine& warm) {
+  const auto quanta = static_cast<unsigned>(state.range(0));
+  sim::Machine machine = warm;
   for (auto _ : state) {
-    machine.step();
+    state.PauseTiming();
+    machine = warm;
+    state.ResumeTiming();
+    for (unsigned q = 0; q < quanta; ++q) machine.step();
     benchmark::DoNotOptimize(machine.telemetry(0).instructions);
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(quanta));
+  // Share of the window's quanta that ran the fixed point (the rest
+  // replayed): fixed by the window, so equal in every run and binary.
+  state.counters["solve_pct"] =
+      100.0 *
+      static_cast<double>(machine.solver_stats().solves -
+                          warm.solver_stats().solves) /
+      quanta;
 }
-BENCHMARK(BM_MachineStep10Apps);
+
+void BM_MachineStep10Apps(benchmark::State& state) {
+  static const sim::Machine warm = [] {
+    sim::Machine machine{sim::MachineConfig{}};
+    const auto& catalog = sim::default_catalog();
+    for (unsigned c = 0; c < 10; ++c) {
+      machine.attach(c, &catalog.at(c * 5));
+    }
+    for (unsigned q = 0; q < kStepWarmupQuanta; ++q) machine.step();
+    return machine;
+  }();
+  step_fixed_quanta(state, warm);
+}
+BENCHMARK(BM_MachineStep10Apps)->Arg(1000);
 
 void BM_MachineStepPartitioned(benchmark::State& state) {
-  sim::Machine machine{sim::MachineConfig{}};
-  const auto& catalog = sim::default_catalog();
-  for (unsigned c = 0; c < 10; ++c) {
-    machine.attach(c, &catalog.at(c * 5 + 1));
-  }
-  machine.set_fill_mask(0, sim::WayMask::high(19, 20));
-  for (unsigned c = 1; c < 10; ++c) {
-    machine.set_fill_mask(c, sim::WayMask::low(1));
-  }
-  for (auto _ : state) {
-    machine.step();
-    benchmark::DoNotOptimize(machine.telemetry(0).instructions);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  static const sim::Machine warm = [] {
+    sim::Machine machine{sim::MachineConfig{}};
+    const auto& catalog = sim::default_catalog();
+    for (unsigned c = 0; c < 10; ++c) {
+      machine.attach(c, &catalog.at(c * 5 + 1));
+    }
+    machine.set_fill_mask(0, sim::WayMask::high(19, 20));
+    for (unsigned c = 1; c < 10; ++c) {
+      machine.set_fill_mask(c, sim::WayMask::low(1));
+    }
+    for (unsigned q = 0; q < kStepWarmupQuanta; ++q) machine.step();
+    return machine;
+  }();
+  step_fixed_quanta(state, warm);
 }
-BENCHMARK(BM_MachineStepPartitioned);
+BENCHMARK(BM_MachineStepPartitioned)->Arg(1000);
 
 // Worst case for the cached region decomposition: every step is preceded
 // by a repartition, so the cache misses each quantum and the full
-// decompose + layout rebuild + cold bisection runs. The gap between this
+// decompose + layout rebuild + solve runs, its Newton seed starting from
+// the previous layout's characteristic time. The gap between this
 // and BM_MachineStep10Apps is the price of one mask churn; a controller
 // acting once per second amortises it over ~100 quanta.
 void BM_MachineStepMaskChurn(benchmark::State& state) {
@@ -246,6 +277,42 @@ void BM_OccupancySolver(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_OccupancySolver)->Arg(2)->Arg(10);
+
+// The solve the machine's convergence tail runs: one reused scratch, rates
+// nudged by a few ulps every call, so the per-region memo misses and each
+// solve is a Newton seed from the previous characteristic time plus the
+// bisection's few undecided evaluations. BM_OccupancySolver above times
+// the cold allocating wrapper instead.
+void BM_OccupancySolverDrift(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<sim::WayMask> masks(n, sim::WayMask::full(20));
+  const auto regions = sim::decompose_regions(masks, 20, 1.25 * 1024 * 1024);
+  // A cycle of demands 4 ulps apart: every call differs from the last.
+  constexpr unsigned kVariants = 64;
+  std::vector<std::vector<sim::CacheDemand>> variants(kVariants);
+  for (unsigned v = 0; v < kVariants; ++v) {
+    const double nudge = 1.0 + 4.0 * v * 0x1p-52;
+    auto& demand = variants[v];
+    demand.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      demand[i].reuse = {{(0.5e9 + 0.1e9 * static_cast<double>(i)) * nudge,
+                          3e6 * static_cast<double>(i + 1)},
+                         {0.1e9 * nudge, 20e6}};
+      demand[i].stream_bytes_per_sec = 0.05e9 * nudge;
+    }
+  }
+  sim::OccupancyScratch scratch;
+  std::vector<double> occ;
+  unsigned v = 0;
+  for (auto _ : state) {
+    sim::solve_occupancy(regions, variants[v], sim::OccupancySolverConfig{},
+                         scratch, occ);
+    benchmark::DoNotOptimize(occ.data());
+    v = (v + 1) % kVariants;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_OccupancySolverDrift)->Arg(2)->Arg(10);
 
 void BM_TraceCacheAccess(benchmark::State& state) {
   sim::CacheGeometry geom{1 << 20, 16, 64};  // 1 MB for hot loops

@@ -20,7 +20,7 @@ static int run(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   const std::string hp_name = args.get_or("hp", "GemsFDTD1");
   const std::string be_name = args.get_or("be", "gcc_base3");
-  const auto cores = static_cast<unsigned>(args.get_int("cores", 10));
+  const auto cores = util::count_flag(args, "cores", 10u);
   const double seconds = args.get_double("seconds", 40.0);
   args.reject_unknown();
 

@@ -31,14 +31,13 @@ namespace dicer::examples {
 /// passing them through `args`.
 inline fleet::FleetConfig fleet_config_from(const util::CliArgs& args) {
   fleet::FleetConfig fc;
-  fc.num_machines = static_cast<unsigned>(args.get_int("machines", 500));
-  fc.cores_used = static_cast<unsigned>(args.get_int("cores", 10));
+  fc.num_machines = util::count_flag(args, "machines", 500u);
+  fc.cores_used = util::count_flag(args, "cores", 10u);
   fc.policy = args.get_or("policy", "DICER");
   fc.placement = args.get_or("placement", "mrc");
   fc.epoch_sec = args.get_double("epoch", 1.0);
   fc.slo_norm = args.get_double("slo", 0.90);
-  fc.migrate_after =
-      static_cast<unsigned>(args.get_int("migrate-after", 3));
+  fc.migrate_after = util::count_flag(args, "migrate-after", 3u);
   fc.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   fc.jobs = util::jobs_flag(args);
   const long p2c_d =

@@ -47,7 +47,7 @@ static int run(int argc, char** argv) {
   using namespace dicer;
 
   const util::CliArgs args(argc, argv);
-  const auto epochs = static_cast<std::uint64_t>(args.get_int("epochs", 20));
+  const auto epochs = util::count_flag<std::uint64_t>(args, "epochs", 20);
   const std::string csv_path = args.get_or("csv", "");
   const std::string metrics_path = args.get_or("metrics-out", "");
   const std::string jsonl_path = args.get_or("metrics-jsonl", "");

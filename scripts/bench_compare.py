@@ -30,9 +30,14 @@ import sys
 # table.
 DEFAULT_BENCHES = [
     "BM_MachineStepSteadyState",
-    "BM_MachineStep10Apps",
-    "BM_MachineStepPartitioned",
+    # 1000 quanta per iteration from a copy of one pre-warmed machine, so
+    # every run times the same stretch of the phase trajectory.
+    "BM_MachineStep10Apps/1000",
+    "BM_MachineStepPartitioned/1000",
     "BM_MachineRunPeriod",
+    # The characteristic-time solve under few-ulp drift through one reused
+    # scratch: the Newton-seeded bisection the convergence tail runs.
+    "BM_OccupancySolverDrift/10",
     # The stepping pair: one step() per quantum and Machine::run_for (bulk
     # replay commits) over the same 8 machines; --speedup pins run_for
     # >= 2x faster.

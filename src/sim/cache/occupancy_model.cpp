@@ -4,9 +4,78 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace dicer::sim {
+
+namespace {
+
+/// One region's bisection constants: per sharer, stream*frac followed by
+/// (rate*frac, footprint*frac) pairs, sharer k's entries ending at end[k].
+struct HoistedRegion {
+  const double* h;
+  const std::size_t* end;
+  std::size_t sharers;
+
+  /// Total occupancy the region would hold at characteristic time t. With
+  /// every constant finite and >= 0 it is monotone non-decreasing in t even
+  /// in floating point: each h*t rounds monotonically, min and + are
+  /// monotone.
+  double total_at(double t) const {
+    double sum = 0.0;
+    std::size_t j = 0;
+    for (std::size_t k = 0; k < sharers; ++k) {
+      double app_occ = h[j++] * t;
+      for (; j < end[k]; j += 2) {
+        app_occ += std::min(h[j] * t, h[j + 1]);
+      }
+      sum += app_occ;
+    }
+    return sum;
+  }
+
+  /// Newton's method on total_at(t) = cap from `t`. The sum is concave and
+  /// piecewise linear, so every tangent root lies at or below the root: a
+  /// pass either lands on the root's segment (the next pass then moves a
+  /// few ulps) or crosses a breakpoint. It only seeds the bisection's
+  /// known bracket, so an unconverged answer costs evaluations, not bits.
+  double newton_root(double t, double cap, double t_max) const {
+    constexpr unsigned kMaxPasses = 8;
+    for (unsigned pass = 0; pass < kMaxPasses; ++pass) {
+      double sum = 0.0, slope = 0.0;
+      std::size_t j = 0;
+      for (std::size_t k = 0; k < sharers; ++k) {
+        double app_occ = h[j] * t;
+        slope += h[j++];
+        for (; j < end[k]; j += 2) {
+          const double fill = h[j] * t;
+          if (fill < h[j + 1]) {
+            app_occ += fill;
+            slope += h[j];
+          } else {
+            app_occ += h[j + 1];
+          }
+        }
+        sum += app_occ;
+      }
+      if (!(slope > 0.0)) {
+        // Flat: every component saturated and no stream, so the root lies
+        // below t. The slope at 0 is positive whenever the region fills.
+        if (t == 0.0) break;
+        t = 0.0;
+        continue;
+      }
+      const double step = (cap - sum) / slope;
+      const bool converged = !(std::abs(step) > 1e-13 * t);
+      t = std::clamp(t + step, 0.0, t_max);
+      if (converged) break;
+    }
+    return t;
+  }
+};
+
+}  // namespace
 
 std::vector<CacheRegion> decompose_regions(const std::vector<WayMask>& masks,
                                            unsigned total_ways,
@@ -142,13 +211,13 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
       // bisection — and no point paying for the hoisted arrays below.
       t_c = t_max;
     } else {
-      // Hoist the frac products out of the t-sweep: the bisection is a
-      // latency chain of ~50 sequential evaluations, and each used to
-      // re-derive rate*frac / footprint*frac from the nested demand
-      // vectors. The raw inputs are already saved in rs.inputs, so the
-      // flattening buffer is scaled in place — no extra allocation. Same
-      // operand pairs, same rounding, same summation order as the inline
-      // evaluation — byte-identical t_c and contributions.
+      // Hoist the frac products out of the t-sweep so each evaluation
+      // walks one flat array instead of re-deriving rate*frac /
+      // footprint*frac from the nested demand vectors. The raw inputs are
+      // already saved in rs.inputs, so the flattening buffer is scaled in
+      // place — no extra allocation. Same operand pairs, same rounding,
+      // same summation order as the inline evaluation — byte-identical t_c
+      // and contributions.
       auto& h = cur;
       auto& he = scratch.flat_end;
       std::size_t s = 0;
@@ -162,23 +231,45 @@ void solve_occupancy(const std::vector<CacheRegion>& regions,
         }
         he[k] = s;
       }
-      auto total_at = [&](double t) {
-        double sum = 0.0;
-        std::size_t j = 0;
-        for (std::size_t k = 0; k < num_sharers; ++k) {
-          double app_occ = h[j++] * t;
-          const std::size_t end = he[k];
-          for (; j < end; j += 2) {
-            app_occ += std::min(h[j] * t, h[j + 1]);
-          }
-          sum += app_occ;
+      const HoistedRegion region{h.data(), he.data(), num_sharers};
+      const double cap = r.capacity_bytes;
+
+      // The bisection below fixes t_c bit for bit; an evaluation whose
+      // outcome is already known is skipped, never the step itself. With
+      // finite non-negative constants total_at is monotone, so total < cap
+      // at lo_known decides every mid <= lo_known, and total >= cap at
+      // hi_known every mid >= hi_known. Newton's method lands a few ulps
+      // from the root, and two probes around it seed that bracket; most
+      // mids then fall outside it. Any other input keeps both ends NaN:
+      // every mid is evaluated, except a repeat of a point already
+      // evaluated (a mid equal to lo or hi), whose outcome is its own.
+      constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+      double lo_known = kNaN, hi_known = kNaN;
+      bool monotone = std::isfinite(cap) && std::isfinite(t_max);
+      for (std::size_t j = 0; j < s; ++j) {
+        monotone = monotone && h[j] >= 0.0 && std::isfinite(h[j]);
+      }
+      if (monotone) {
+        const double start = rs.t_c > 0.0 && rs.t_c <= t_max ? rs.t_c : 0.0;
+        const double t = region.newton_root(start, cap, t_max);
+        for (const double probe : {t * (1.0 - 1e-12), t * (1.0 + 1e-12)}) {
+          if (region.total_at(probe) < cap) lo_known = probe;
+          else if (!(probe >= hi_known)) hi_known = probe;
         }
-        return sum;
-      };
+      }
       double lo = 0.0, hi = t_max;
       for (unsigned i = 0; i < config.bisection_steps; ++i) {
         const double mid = 0.5 * (lo + hi);
-        if (total_at(mid) < r.capacity_bytes) lo = mid;
+        bool below;
+        if (mid <= lo_known) {
+          below = true;
+        } else if (mid >= hi_known) {
+          below = false;
+        } else {
+          below = region.total_at(mid) < cap;
+          (below ? lo_known : hi_known) = mid;
+        }
+        if (below) lo = mid;
         else hi = mid;
       }
       t_c = 0.5 * (lo + hi);

@@ -14,7 +14,10 @@
 // L2-resident app keeps its data even next to nine miss-storming
 // neighbours), and stream_rate is compulsory/streaming traffic whose
 // lines are unique forever. T_c solves sum_i occ_i(T_c) = capacity and is
-// found by bisection (occ_i is monotonically non-decreasing in T).
+// found by bisection (occ_i is monotonically non-decreasing in T). The
+// bisection's mids, and so T_c's every bit, are fixed by the step count;
+// a Newton-seeded bracket only skips evaluations whose outcome
+// monotonicity already decides, nearly all 48 in practice.
 //
 // This reproduces the paper's UM observations (milc left unmanaged "gains
 // control of around 26% of the LLC" against nine gcc BEs) and the crucial
@@ -86,7 +89,7 @@ struct OccupancySolverConfig {
 /// byte-identical with or without scratch reuse.
 struct OccupancyScratch {
   struct RegionState {
-    double t_c = 0.0;            ///< characteristic time of the last solve
+    double t_c = 0.0;            ///< last solve's T_c, next Newton start
     bool memo_valid = false;     ///< t_c/inputs describe a completed solve
     std::vector<double> frac;    ///< capacity fraction per sharer (layout)
     std::vector<double> inputs;  ///< flattened demand behind the stored t_c
@@ -97,8 +100,9 @@ struct OccupancyScratch {
   /// Per-call flattening buffer. Doubles as the bisection's hoisted-constant
   /// store: once the raw values are saved into the region's `inputs` memo,
   /// each entry is scaled in place by its sharer's capacity fraction so the
-  /// ~50-evaluation t-sweep walks one flat array instead of re-deriving
-  /// rate*frac / footprint*frac from the nested demand vectors every step.
+  /// Newton seed and the bisection's few evaluations walk one flat array
+  /// instead of re-deriving rate*frac / footprint*frac from the nested
+  /// demand vectors.
   std::vector<double> flat;
   /// Per-sharer end offsets into `flat` for the bisection's t-sweep (a
   /// region has at most 64 sharers — decompose_regions enforces it). Fixed

@@ -11,11 +11,13 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace dicer::util {
@@ -61,6 +63,20 @@ class CliArgs {
 /// --jobs N as a worker request for ThreadPool::resolve_jobs (0, the
 /// default, means auto). A negative count throws CliError.
 unsigned jobs_flag(const CliArgs& args);
+
+/// A count flag (--machines, --epochs, --cores, ...) as T. A negative
+/// value, or one T cannot hold, throws CliError instead of wrapping into a
+/// huge count on the cast.
+template <typename T>
+T count_flag(const CliArgs& args, const std::string& key, T def) {
+  const long value = args.get_int(key, static_cast<long>(def));
+  if (!std::in_range<T>(value)) {
+    throw CliError("invalid value for --" + key + ": '" +
+                   std::to_string(value) + "' (expected an integer from 0 to " +
+                   std::to_string(std::numeric_limits<T>::max()) + ")");
+  }
+  return static_cast<T>(value);
+}
 
 /// Apply --log-level L, when given, to the log threshold (after DICER_LOG
 /// has been read and, if malformed, warned about). A value that is not a

@@ -314,6 +314,29 @@ TEST(FleetCli, P2cFlagParsesAndValidates) {
   }
 }
 
+// A negative count used to wrap: --machines -1 asked for 2^32-1 machines.
+// Parsed here only; no fleet is built (util::count_flag, which also
+// guards --epochs, has its own test in cli_test.cpp).
+TEST(FleetCli, NegativeCountFlagsAreRejected) {
+  for (const char* key : {"--machines", "--cores", "--migrate-after"}) {
+    for (const char* bad : {"-1", "-4294967295", "4294967296"}) {
+      const char* argv[] = {"fleet_sim", key, bad};
+      const util::CliArgs args(3, argv);
+      EXPECT_THROW(examples::fleet_config_from(args), util::CliError)
+          << key << " " << bad;
+    }
+  }
+  {
+    const char* argv[] = {"fleet_sim", "--machines", "0", "--cores", "4",
+                          "--migrate-after", "4294967295"};
+    const util::CliArgs args(7, argv);
+    const FleetConfig fc = examples::fleet_config_from(args);
+    EXPECT_EQ(fc.num_machines, 0u);
+    EXPECT_EQ(fc.cores_used, 4u);
+    EXPECT_EQ(fc.migrate_after, 4294967295u);
+  }
+}
+
 // fleet_config_from reads every fleet-shape flag, so a full fleet command
 // line passes reject_unknown() and any flag outside the table fails it.
 TEST(FleetCli, FleetFlagsAreConsumedAndOthersRejected) {

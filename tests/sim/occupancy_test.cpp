@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
+
+#include "util/rng.hpp"
 
 namespace dicer::sim {
 namespace {
@@ -159,18 +167,25 @@ TEST(SolveOccupancy, MultiComponentHotFillsBeforeTail) {
 
 // --- scratch / warm-start solver ------------------------------------------
 
-std::vector<double> solve_with_scratch(const std::vector<CacheRegion>& regions,
-                                       const std::vector<CacheDemand>& demand,
-                                       OccupancyScratch& scratch) {
+std::vector<double> solve_with_scratch(
+    const std::vector<CacheRegion>& regions,
+    const std::vector<CacheDemand>& demand, OccupancyScratch& scratch,
+    const OccupancySolverConfig& config = {}) {
   std::vector<double> occ;
-  solve_occupancy(regions, demand, OccupancySolverConfig{}, scratch, occ);
+  solve_occupancy(regions, demand, config, scratch, occ);
   return occ;
 }
 
-void expect_bitwise_equal(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << i;
+// Bit patterns, so -0.0 vs 0.0 and NaN payloads count as differences.
+void expect_bitwise_equal(const std::vector<double>& got,
+                          const std::vector<double>& want,
+                          const std::string& what = "") {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " app " << i << ": " << got[i] << " vs " << want[i];
+  }
 }
 
 TEST(OccupancyScratchSolver, MatchesAllocatingSolverBitwise) {
@@ -243,6 +258,484 @@ TEST(OccupancyScratchSolver, ShapeChangeDetectedWithoutInvalidate) {
                        solve_occupancy(regions_one, 1, d1));
   expect_bitwise_equal(solve_with_scratch(regions_three, d3, scratch),
                        solve_occupancy(regions_three, 3, d3));
+}
+
+// --- oracle: the bisection evaluating every mid --------------------------
+//
+// The production solver skips each bisection evaluation whose outcome
+// monotonicity already decides. The reference below is the same solver
+// evaluating all of them: the same 48 mids, so every occupancy must match
+// it bit for bit, NaN payloads included.
+
+void oracle_solve_occupancy(const std::vector<CacheRegion>& regions,
+                            const std::vector<CacheDemand>& demand,
+                            const OccupancySolverConfig& config,
+                            OccupancyScratch& scratch,
+                            std::vector<double>& occ) {
+  const std::size_t num_apps = demand.size();
+  occ.assign(num_apps, 0.0);
+
+  if (!scratch.layout_valid || scratch.avail.size() != num_apps ||
+      scratch.regions.size() != regions.size()) {
+    // An app eligible for several regions splits its rates proportionally
+    // to region capacity; both the per-app totals and the resulting
+    // per-region fractions depend only on the layout, so they are computed
+    // once per decomposition, not once per solve.
+    scratch.avail.assign(num_apps, 0.0);
+    for (const auto& r : regions) {
+      for (std::size_t a : r.sharers) scratch.avail[a] += r.capacity_bytes;
+    }
+    scratch.regions.resize(regions.size());
+    for (std::size_t ri = 0; ri < regions.size(); ++ri) {
+      const auto& r = regions[ri];
+      auto& rs = scratch.regions[ri];
+      rs.memo_valid = false;
+      rs.inputs.clear();
+      rs.frac.assign(r.sharers.size(), 0.0);
+      for (std::size_t k = 0; k < r.sharers.size(); ++k) {
+        const std::size_t a = r.sharers[k];
+        rs.frac[k] =
+            scratch.avail[a] > 0.0 ? r.capacity_bytes / scratch.avail[a] : 0.0;
+      }
+    }
+    scratch.layout_valid = true;
+  }
+
+  for (std::size_t ri = 0; ri < regions.size(); ++ri) {
+    const auto& r = regions[ri];
+    if (r.sharers.empty() || r.capacity_bytes <= 0.0) continue;
+    auto& rs = scratch.regions[ri];
+
+    // Flatten this region's inputs (per sharer: stream rate, then each
+    // reuse component) to detect a bit-identical re-solve.
+    auto& cur = scratch.flat;
+    cur.clear();
+    for (std::size_t a : r.sharers) {
+      const auto& d = demand[a];
+      cur.push_back(d.stream_bytes_per_sec);
+      for (const auto& c : d.reuse) {
+        cur.push_back(c.rate_bytes_per_sec);
+        cur.push_back(c.footprint_bytes);
+      }
+    }
+
+    if (rs.memo_valid && rs.inputs == cur) {
+      // Warm start: identical inputs reach the identical fixed point, so
+      // the stored solution is reused verbatim and the bisection skipped.
+      for (std::size_t k = 0; k < r.sharers.size(); ++k) {
+        occ[r.sharers[k]] += rs.contrib[k];
+      }
+      continue;
+    }
+    rs.memo_valid = false;
+    rs.inputs = cur;
+    const std::size_t num_sharers = r.sharers.size();
+    // Total occupancy the region would hold at characteristic time t,
+    // reading straight from the nested demand vectors. `*` is
+    // left-associative, so stream*frac*t groups as (stream*frac)*t —
+    // bit-identical to the hoisted form used by the bisection below.
+    auto total_at_inline = [&](double t) {
+      double sum = 0.0;
+      for (std::size_t k = 0; k < num_sharers; ++k) {
+        const auto& d = demand[r.sharers[k]];
+        const double f = rs.frac[k];
+        double app_occ = d.stream_bytes_per_sec * f * t;
+        for (const auto& c : d.reuse) {
+          app_occ +=
+              std::min(c.rate_bytes_per_sec * f * t, c.footprint_bytes * f);
+        }
+        sum += app_occ;
+      }
+      return sum;
+    };
+    double t_c;
+    const double t_max = config.max_characteristic_time_sec;
+    if (total_at_inline(t_max) <= r.capacity_bytes) {
+      // The region never fills: every sharer keeps its full (scaled)
+      // footprint plus its entire streaming window. One evaluation, no
+      // bisection — and no point paying for the hoisted arrays below.
+      t_c = t_max;
+    } else {
+      // Hoist the frac products out of the t-sweep: the bisection is a
+      // latency chain of ~50 sequential evaluations, and each used to
+      // re-derive rate*frac / footprint*frac from the nested demand
+      // vectors. The raw inputs are already saved in rs.inputs, so the
+      // flattening buffer is scaled in place — no extra allocation. Same
+      // operand pairs, same rounding, same summation order as the inline
+      // evaluation — byte-identical t_c and contributions.
+      auto& h = cur;
+      auto& he = scratch.flat_end;
+      std::size_t s = 0;
+      for (std::size_t k = 0; k < num_sharers; ++k) {
+        const double f = rs.frac[k];
+        h[s++] *= f;
+        const std::size_t comps = demand[r.sharers[k]].reuse.size();
+        for (std::size_t c = 0; c < comps; ++c) {
+          h[s++] *= f;
+          h[s++] *= f;
+        }
+        he[k] = s;
+      }
+      auto total_at = [&](double t) {
+        double sum = 0.0;
+        std::size_t j = 0;
+        for (std::size_t k = 0; k < num_sharers; ++k) {
+          double app_occ = h[j++] * t;
+          const std::size_t end = he[k];
+          for (; j < end; j += 2) {
+            app_occ += std::min(h[j] * t, h[j + 1]);
+          }
+          sum += app_occ;
+        }
+        return sum;
+      };
+      double lo = 0.0, hi = t_max;
+      for (unsigned i = 0; i < config.bisection_steps; ++i) {
+        const double mid = 0.5 * (lo + hi);
+        if (total_at(mid) < r.capacity_bytes) lo = mid;
+        else hi = mid;
+      }
+      t_c = 0.5 * (lo + hi);
+    }
+    rs.t_c = t_c;
+    rs.memo_valid = true;
+
+    rs.contrib.resize(num_sharers);
+    for (std::size_t k = 0; k < num_sharers; ++k) {
+      const auto& d = demand[r.sharers[k]];
+      const double f = rs.frac[k];
+      double app_occ = d.stream_bytes_per_sec * f * t_c;
+      for (const auto& c : d.reuse) {
+        app_occ +=
+            std::min(c.rate_bytes_per_sec * f * t_c, c.footprint_bytes * f);
+      }
+      rs.contrib[k] = app_occ;
+      occ[r.sharers[k]] += app_occ;
+    }
+  }
+}
+
+std::vector<double> oracle_occ(const std::vector<CacheRegion>& regions,
+                               const std::vector<CacheDemand>& demand,
+                               const OccupancySolverConfig& config = {}) {
+  OccupancyScratch fresh;
+  std::vector<double> occ;
+  oracle_solve_occupancy(regions, demand, config, fresh, occ);
+  return occ;
+}
+
+// Fresh scratch and a reused one (after invalidate(), so the Newton start
+// is a stale t_c from an unrelated region) must both match the oracle.
+void expect_matches_oracle(const std::vector<CacheRegion>& regions,
+                           const std::vector<CacheDemand>& demand,
+                           OccupancyScratch& reused, const std::string& what,
+                           const OccupancySolverConfig& config = {}) {
+  const auto want = oracle_occ(regions, demand, config);
+  OccupancyScratch fresh;
+  expect_bitwise_equal(solve_with_scratch(regions, demand, fresh, config),
+                       want, what + " (fresh scratch)");
+  reused.invalidate();
+  expect_bitwise_equal(solve_with_scratch(regions, demand, reused, config),
+                       want, what + " (reused scratch)");
+}
+
+constexpr unsigned kWays = 20;
+constexpr double kWayBytes = 1.25 * MB;
+
+// Log-uniform in [lo, hi).
+double log_uniform(util::Xoshiro256& rng, double lo, double hi) {
+  return std::exp(rng.uniform(std::log(lo), std::log(hi)));
+}
+
+std::vector<CacheDemand> random_demand(util::Xoshiro256& rng,
+                                       std::size_t sharers) {
+  std::vector<CacheDemand> demand(sharers);
+  for (auto& d : demand) {
+    d.stream_bytes_per_sec =
+        rng.bernoulli(0.3) ? 0.0 : log_uniform(rng, 1e3, 2e10);
+    d.reuse.resize(rng.below(4));
+    for (auto& c : d.reuse) {
+      c.rate_bytes_per_sec = log_uniform(rng, 1e4, 5e10);
+      c.footprint_bytes = log_uniform(rng, 1e3, 2e9);
+    }
+  }
+  return demand;
+}
+
+// Shared (every app on every way), CT-split (app 0 on the high k ways, the
+// rest on the low 20-k) and random overlapping spans.
+std::vector<WayMask> random_layout(util::Xoshiro256& rng, std::size_t apps,
+                                   int kind) {
+  std::vector<WayMask> masks(apps, WayMask::full(kWays));
+  if (kind == 1 && apps > 1) {
+    const auto hp = static_cast<unsigned>(1 + rng.below(kWays - 1));
+    masks[0] = WayMask::high(hp, kWays);
+    for (std::size_t a = 1; a < apps; ++a) masks[a] = WayMask::low(kWays - hp);
+  } else if (kind == 2) {
+    for (auto& m : masks) {
+      const auto first = static_cast<unsigned>(rng.below(kWays));
+      const auto count =
+          static_cast<unsigned>(1 + rng.below(kWays - first));
+      m = WayMask::span(first, count);
+    }
+  }
+  return masks;
+}
+
+TEST(OccupancyOracle, RandomDemandsMatchBitwise) {
+  util::Xoshiro256 rng(2024);
+  OccupancyScratch reused;
+  for (int it = 0; it < 600; ++it) {
+    const auto sharers = static_cast<std::size_t>(1 + rng.below(10));
+    const int kind = it % 3;
+    const auto regions = decompose_regions(random_layout(rng, sharers, kind),
+                                           kWays, kWayBytes);
+    const auto demand = random_demand(rng, sharers);
+    expect_matches_oracle(regions, demand, reused,
+                          "case " + std::to_string(it));
+  }
+}
+
+// Step counts past ~52 drive the bisection into adjacent floats, where a
+// mid rounds onto lo or hi; a short t_max moves every mid.
+TEST(OccupancyOracle, RandomDemandsMatchBitwiseAcrossSolverConfigs) {
+  util::Xoshiro256 rng(77);
+  OccupancyScratch reused;
+  for (const auto& [steps, t_max] :
+       {std::pair{1u, 1e3}, std::pair{20u, 1e3}, std::pair{60u, 1e3},
+        std::pair{1100u, 1e3}, std::pair{48u, 1e-3}, std::pair{48u, 5e5}}) {
+    const OccupancySolverConfig config{steps, t_max};
+    for (int it = 0; it < 60; ++it) {
+      const auto sharers = static_cast<std::size_t>(1 + rng.below(10));
+      const auto regions = decompose_regions(
+          random_layout(rng, sharers, it % 3), kWays, kWayBytes);
+      const auto demand = random_demand(rng, sharers);
+      expect_matches_oracle(regions, demand, reused,
+                            "steps " + std::to_string(steps) + " t_max " +
+                                std::to_string(t_max) + " case " +
+                                std::to_string(it),
+                            config);
+    }
+  }
+}
+
+CacheRegion region_of(double capacity, std::size_t sharers) {
+  CacheRegion r;
+  r.capacity_bytes = capacity;
+  for (std::size_t a = 0; a < sharers; ++a) r.sharers.push_back(a);
+  return r;
+}
+
+TEST(OccupancyOracle, AdversarialCasesMatchBitwise) {
+  OccupancyScratch reused;
+  const double cap = kWays * kWayBytes;
+  const std::vector<CacheRegion> one_region = {region_of(cap, 4)};
+
+  // Zero rates and zero stream: a silent sharer, a zero-rate component
+  // and a region that fills on footprints alone (slope 0 past the last
+  // breakpoint).
+  {
+    CacheDemand silent;
+    CacheDemand zero_rate;
+    zero_rate.reuse = {{0.0, 8 * MB}, {2 * GBs, 3 * MB}};
+    CacheDemand footprints;
+    footprints.reuse = {{1 * GBs, 15 * MB}, {0.2 * GBs, 9 * MB}};
+    CacheDemand zero_stream;
+    zero_stream.reuse = {{0.7 * GBs, 6 * MB}};
+    expect_matches_oracle(one_region,
+                          {silent, zero_rate, footprints, zero_stream},
+                          reused, "zero rates, zero stream");
+    expect_matches_oracle(one_region,
+                          {silent, silent, silent, stream_app(3 * GBs)},
+                          reused, "one streamer among silent sharers");
+  }
+
+  // Equal F/r breakpoints: every component saturates at the same t.
+  {
+    std::vector<CacheDemand> demand(4);
+    for (std::size_t a = 0; a < demand.size(); ++a) {
+      const double k = static_cast<double>(a + 1);
+      demand[a].reuse = {{k * GBs, k * 4 * MB}, {2 * k * GBs, k * 8 * MB}};
+    }
+    expect_matches_oracle(one_region, demand, reused, "equal breakpoints");
+    demand[3].stream_bytes_per_sec = 0.5 * GBs;
+    expect_matches_oracle(one_region, demand, reused,
+                          "equal breakpoints + stream");
+  }
+
+  // A root within an ulp or two of a bisection mid: a lone streamer with
+  // capacity / rate on the dyadic point m = t_max * 2^-20, the 20th mid on
+  // the way down, nudged across it one ulp at a time.
+  {
+    const std::vector<CacheRegion> lone = {region_of(cap, 1)};
+    const double m = 1e3 * std::ldexp(1.0, -20);
+    double rate = cap / m;
+    for (int u = 0; u < 4; ++u) rate = std::nextafter(rate, 0.0);
+    for (int u = 0; u < 9; ++u, rate = std::nextafter(rate, 1e300)) {
+      expect_matches_oracle(lone, {stream_app(rate)}, reused,
+                            "root at a mid, ulp " + std::to_string(u));
+    }
+    // The same point reached by two sharers' sum.
+    const std::vector<CacheRegion> pair = {region_of(cap, 2)};
+    double half = 0.5 * cap / m;
+    for (int u = 0; u < 4; ++u) half = std::nextafter(half, 0.0);
+    for (int u = 0; u < 9; ++u, half = std::nextafter(half, 1e300)) {
+      expect_matches_oracle(pair, {stream_app(half), stream_app(half)},
+                            reused, "pair root at a mid, ulp " +
+                                        std::to_string(u));
+    }
+  }
+
+  // A root near t_max: the region just barely fills inside the bracket.
+  {
+    const std::vector<CacheRegion> lone = {region_of(cap, 1)};
+    double rate = cap / 1e3;
+    for (int u = 0; u < 6; ++u, rate = std::nextafter(rate, 1e300)) {
+      expect_matches_oracle(lone, {stream_app(rate)}, reused,
+                            "root at t_max, ulp " + std::to_string(u));
+    }
+    CacheDemand d;
+    d.reuse = {{cap, 0.5 * cap}};
+    d.stream_bytes_per_sec = 0.5 * cap / 1e3 * (1.0 + 1e-13);
+    expect_matches_oracle(lone, {d}, reused, "saturated + stream at t_max");
+  }
+
+  // Ill-conditioned roots: footprints fill all but a sliver of the region
+  // and a thin stream decides t_c, so Newton's answer is only good to
+  // ~1e-10 relative, wider than the probes around it; and a staircase of
+  // breakpoints that Newton crosses one per pass from a start of 0.
+  {
+    const std::vector<CacheRegion> lone = {region_of(cap, 1)};
+    for (const double sliver : {1e-6, 1e-9, 1e-12}) {
+      CacheDemand d;
+      d.reuse = {{40 * GBs, cap * (1.0 - sliver)}};
+      d.stream_bytes_per_sec = 1e-2 * sliver * cap;  // t_c = 100 s
+      expect_matches_oracle(lone, {d}, reused,
+                            "sliver " + std::to_string(sliver));
+    }
+    CacheDemand stairs;
+    double footprint = cap;
+    for (int c = 0; c < 3; ++c) {
+      footprint *= 0.5;
+      stairs.reuse.push_back({footprint * std::pow(4.0, c), footprint});
+    }
+    stairs.stream_bytes_per_sec = 1e-6 * cap;
+    std::vector<CacheDemand> staircase(4, stairs);
+    for (std::size_t a = 0; a < staircase.size(); ++a) {
+      for (auto& c : staircase[a].reuse) {
+        c.rate_bytes_per_sec *= std::pow(16.0, static_cast<double>(a));
+        c.footprint_bytes *= 0.25;
+      }
+    }
+    expect_matches_oracle(one_region, staircase, reused, "staircase");
+  }
+
+  // Subnormal rates, footprints and capacities.
+  {
+    const double sub = std::numeric_limits<double>::denorm_min();
+    CacheDemand tiny;
+    tiny.stream_bytes_per_sec = sub;
+    tiny.reuse = {{1e-310, 1e-312}, {sub, sub}};
+    expect_matches_oracle(one_region,
+                          {tiny, stream_app(2 * GBs), tiny,
+                           reuse_app(1e-309, 2 * MB)},
+                          reused, "subnormals beside a streamer");
+    const std::vector<CacheRegion> sub_region = {region_of(1e-320, 2)};
+    expect_matches_oracle(sub_region, {tiny, stream_app(1e-310)}, reused,
+                          "subnormal region");
+  }
+}
+
+// Inputs the seeded bracket must not trust (negative or non-finite):
+// the solver evaluates every mid, exactly as the oracle does.
+TEST(OccupancyOracle, NonMonotoneInputsMatchBitwise) {
+  OccupancyScratch reused;
+  const double cap = kWays * kWayBytes;
+  const std::vector<CacheRegion> region = {region_of(cap, 3)};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double odd : {-1 * GBs, -0.0, inf, -inf, nan}) {
+    CacheDemand a = reuse_app(1 * GBs, 12 * MB);
+    a.stream_bytes_per_sec = odd;
+    CacheDemand b = reuse_app(odd, 30 * MB);
+    CacheDemand c = reuse_app(2 * GBs, odd);
+    const std::vector<CacheDemand> normal = {stream_app(3 * GBs),
+                                             reuse_app(1 * GBs, 40 * MB),
+                                             stream_app(0.5 * GBs)};
+    for (std::size_t slot = 0; slot < 3; ++slot) {
+      for (const auto& bad : {a, b, c}) {
+        auto demand = normal;
+        demand[slot] = bad;
+        expect_matches_oracle(region, demand, reused,
+                              "odd " + std::to_string(odd) + " slot " +
+                                  std::to_string(slot));
+      }
+    }
+  }
+  // Rates that cancel: total(t) = fl(3 (1 + 2^-40) t) - fl(3 t), a trend
+  // of 3 * 2^-40 under the two products' independent rounding jitter, so
+  // in floating point it crosses the capacity back and forth; only
+  // evaluating every mid reproduces the oracle's walk.
+  {
+    CacheDemand cancel;
+    cancel.stream_bytes_per_sec = 3.0 * (1.0 + 0x1p-40);
+    cancel.reuse = {{-3.0, 1e300}};
+    for (const double c : {0x1p-40 * 3.0, 0x1p-40 * 4.0, 1e-12}) {
+      expect_matches_oracle({region_of(c, 1)}, {cancel}, reused,
+                            "cancelling rates, capacity " +
+                                std::to_string(c));
+    }
+  }
+  expect_matches_oracle({region_of(inf, 3)},
+                        {stream_app(1 * GBs), stream_app(2 * GBs),
+                         reuse_app(1 * GBs, 3 * MB)},
+                        reused, "infinite capacity");
+  expect_matches_oracle({region_of(nan, 3)},
+                        {stream_app(1 * GBs), stream_app(2 * GBs),
+                         reuse_app(1 * GBs, 3 * MB)},
+                        reused, "NaN capacity");
+  for (const double t_max : {inf, nan, -1.0, 0.0}) {
+    expect_matches_oracle(region,
+                          {stream_app(1 * GBs), reuse_app(1 * GBs, 3 * MB),
+                           stream_app(2 * GBs)},
+                          reused, "t_max " + std::to_string(t_max),
+                          OccupancySolverConfig{48, t_max});
+  }
+}
+
+// The machine's convergence tail: the fixed point re-solves with rates
+// that move by geometrically shrinking amounts, down to single ulps, all
+// through one scratch whose memo misses each time and whose Newton start
+// is the previous quantum's t_c.
+TEST(OccupancyOracle, DriftThroughReusedScratchMatchesBitwise) {
+  util::Xoshiro256 rng(9);
+  for (const int kind : {0, 1}) {
+    const std::size_t sharers = 10;
+    const auto regions = decompose_regions(random_layout(rng, sharers, kind),
+                                           kWays, kWayBytes);
+    auto demand = random_demand(rng, sharers);
+    OccupancyScratch scratch;
+    double rel = 1e-3;
+    for (int q = 0; q < 120; ++q) {
+      // Relative nudges shrink 2x per solve; past ~1e-16 they become
+      // single-ulp steps up or down.
+      for (auto& d : demand) {
+        const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
+        auto nudge = [&](double& x) {
+          if (x == 0.0) return;
+          const double next = x * (1.0 + sign * rel);
+          x = next != x ? next : std::nextafter(x, sign * 1e300);
+        };
+        nudge(d.stream_bytes_per_sec);
+        for (auto& c : d.reuse) nudge(c.rate_bytes_per_sec);
+      }
+      rel *= 0.5;
+      const auto want = oracle_occ(regions, demand);
+      expect_bitwise_equal(solve_with_scratch(regions, demand, scratch), want,
+                           "layout " + std::to_string(kind) + " solve " +
+                               std::to_string(q));
+    }
+  }
 }
 
 // Conservation holds across arbitrary mask layouts.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cstdint>
 #include <string>
 
 #include "util/log.hpp"
@@ -181,6 +182,36 @@ TEST(CliArgs, JobsFlagRejectsNegativeAndSaturates) {
   EXPECT_THROW(jobs_flag(make({"prog", "--jobs", "-1"})), CliError);
   // Beyond `unsigned`: saturates (resolve_jobs then caps), never wraps.
   EXPECT_EQ(jobs_flag(make({"prog", "--jobs", "8589934593"})), UINT_MAX);
+}
+
+TEST(CliArgs, CountFlagRejectsNegativeAndOversized) {
+  EXPECT_EQ(count_flag(make({"prog"}), "machines", 500u), 500u);
+  EXPECT_EQ(count_flag(make({"prog", "--machines", "0"}), "machines", 500u),
+            0u);
+  EXPECT_EQ(count_flag(make({"prog", "--machines", "4294967295"}), "machines",
+                       500u),
+            UINT_MAX);
+  for (const char* bad : {"-1", "-4294967295", "4294967296"}) {
+    EXPECT_THROW(count_flag(make({"prog", "--machines", bad}), "machines",
+                            500u),
+                 CliError)
+        << bad;
+  }
+  // A 64-bit count such as fleet_sim's --epochs: wide, but still >= 0.
+  EXPECT_EQ(count_flag<std::uint64_t>(make({"prog", "--epochs", "7"}),
+                                      "epochs", 20),
+            7u);
+  EXPECT_THROW(count_flag<std::uint64_t>(make({"prog", "--epochs", "-1"}),
+                                         "epochs", 20),
+               CliError);
+  try {
+    count_flag(make({"prog", "--cores", "-2"}), "cores", 10u);
+    ADD_FAILURE() << "expected CliError";
+  } catch (const CliError& e) {
+    EXPECT_STREQ(e.what(),
+                 "invalid value for --cores: '-2' (expected an integer from "
+                 "0 to 4294967295)");
+  }
 }
 
 TEST(CliArgs, LogLevelFlagRejectsUnknownLevels) {
