@@ -259,17 +259,25 @@ void BM_MachineRunPeriod(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineRunPeriod)->Unit(benchmark::kMicrosecond);
 
+// Demand the solver benches share: per app a 0.05 GB/s stream, a hot
+// working set growing with the app index and a lukewarm 20 MB tail, every
+// rate scaled by `nudge`.
+sim::OccupancyDemand bench_demand(std::size_t n, double nudge) {
+  sim::OccupancyDemand demand;
+  for (std::size_t i = 0; i < n; ++i) {
+    demand.add_app(0.05e9 * nudge);
+    demand.add_reuse((0.5e9 + 0.1e9 * static_cast<double>(i)) * nudge,
+                     3e6 * static_cast<double>(i + 1));
+    demand.add_reuse(0.1e9 * nudge, 20e6);
+  }
+  return demand;
+}
+
 void BM_OccupancySolver(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<sim::WayMask> masks(n, sim::WayMask::full(20));
   const auto regions = sim::decompose_regions(masks, 20, 1.25 * 1024 * 1024);
-  std::vector<sim::CacheDemand> demand(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    demand[i].reuse = {{0.5e9 + 0.1e9 * static_cast<double>(i),
-                        3e6 * static_cast<double>(i + 1)},
-                       {0.1e9, 20e6}};
-    demand[i].stream_bytes_per_sec = 0.05e9;
-  }
+  const auto demand = bench_demand(n, 1.0);
   for (auto _ : state) {
     auto occ = sim::solve_occupancy(regions, n, demand);
     benchmark::DoNotOptimize(occ.data());
@@ -279,27 +287,19 @@ void BM_OccupancySolver(benchmark::State& state) {
 BENCHMARK(BM_OccupancySolver)->Arg(2)->Arg(10);
 
 // The solve the machine's convergence tail runs: one reused scratch, rates
-// nudged by a few ulps every call, so the per-region memo misses and each
-// solve is a Newton seed from the previous characteristic time plus the
-// bisection's few undecided evaluations. BM_OccupancySolver above times
-// the cold allocating wrapper instead.
+// nudged by a few ulps every call, so each solve is a Newton seed from the
+// previous characteristic time plus the bisection's few undecided
+// evaluations. BM_OccupancySolver above times the cold allocating wrapper
+// instead.
 void BM_OccupancySolverDrift(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<sim::WayMask> masks(n, sim::WayMask::full(20));
   const auto regions = sim::decompose_regions(masks, 20, 1.25 * 1024 * 1024);
   // A cycle of demands 4 ulps apart: every call differs from the last.
   constexpr unsigned kVariants = 64;
-  std::vector<std::vector<sim::CacheDemand>> variants(kVariants);
+  std::vector<sim::OccupancyDemand> variants;
   for (unsigned v = 0; v < kVariants; ++v) {
-    const double nudge = 1.0 + 4.0 * v * 0x1p-52;
-    auto& demand = variants[v];
-    demand.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      demand[i].reuse = {{(0.5e9 + 0.1e9 * static_cast<double>(i)) * nudge,
-                          3e6 * static_cast<double>(i + 1)},
-                         {0.1e9 * nudge, 20e6}};
-      demand[i].stream_bytes_per_sec = 0.05e9 * nudge;
-    }
+    variants.push_back(bench_demand(n, 1.0 + 4.0 * v * 0x1p-52));
   }
   sim::OccupancyScratch scratch;
   std::vector<double> occ;

@@ -5,15 +5,24 @@
 
 namespace dicer::fleet {
 
+void ChurnConfig::validate() const {
+  // Negated comparisons, so NaN fails them too.
+  if (!(arrival_rate_per_sec > 0.0) || !std::isfinite(arrival_rate_per_sec)) {
+    throw std::invalid_argument("churn: arrival rate must be finite and > 0");
+  }
+  if (!(mean_lifetime_sec > 0.0) || !std::isfinite(mean_lifetime_sec)) {
+    throw std::invalid_argument("churn: mean lifetime must be finite and > 0");
+  }
+  if (!(min_lifetime_sec >= 0.0) || !std::isfinite(min_lifetime_sec)) {
+    throw std::invalid_argument(
+        "churn: minimum lifetime must be finite and >= 0");
+  }
+}
+
 ChurnGenerator::ChurnGenerator(const ChurnConfig& config,
                                const sim::AppCatalog& catalog)
     : config_(config), catalog_(&catalog), rng_(config.seed) {
-  if (config.arrival_rate_per_sec <= 0.0) {
-    throw std::invalid_argument("ChurnGenerator: arrival rate must be > 0");
-  }
-  if (config.mean_lifetime_sec <= 0.0) {
-    throw std::invalid_argument("ChurnGenerator: mean lifetime must be > 0");
-  }
+  config.validate();
   if (catalog.size() == 0) {
     throw std::invalid_argument("ChurnGenerator: empty catalog");
   }

@@ -23,6 +23,10 @@ struct ChurnConfig {
   double mean_lifetime_sec = 30.0;    ///< exponential service time
   double min_lifetime_sec = 2.0;      ///< floor under the exponential draw
   std::uint64_t seed = 1;
+
+  /// Throws std::invalid_argument unless the arrival rate and mean
+  /// lifetime are finite and > 0 and the minimum lifetime finite and >= 0.
+  void validate() const;
 };
 
 /// One tenant asking to be placed.
@@ -35,7 +39,7 @@ struct TenantArrival {
 
 class ChurnGenerator {
  public:
-  /// Throws std::invalid_argument on a non-positive rate/lifetime or an
+  /// Throws std::invalid_argument on a config validate() rejects or an
   /// empty catalog.
   ChurnGenerator(const ChurnConfig& config, const sim::AppCatalog& catalog);
 

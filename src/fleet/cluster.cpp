@@ -33,6 +33,11 @@ std::string f17(double x) {
   return buf;
 }
 
+const FleetConfig& validated(const FleetConfig& config) {
+  config.validate();
+  return config;
+}
+
 }  // namespace
 
 std::string epoch_csv_header() {
@@ -95,25 +100,33 @@ std::string epoch_jsonl_row(const EpochMetrics& m) {
   return out;
 }
 
+void FleetConfig::validate() const {
+  if (num_machines == 0) {
+    throw std::invalid_argument("Cluster: need at least one machine");
+  }
+  if (cores_used < 2 || cores_used > machine.num_cores) {
+    throw std::invalid_argument(
+        "Cluster: cores_used must be in [2, machine cores]");
+  }
+  if (!std::isfinite(epoch_sec)) {
+    throw std::invalid_argument("Cluster: epoch must be finite");
+  }
+  if (!(epoch_sec >= machine.quantum_sec - kEps)) {
+    throw std::invalid_argument("Cluster: epoch shorter than one quantum");
+  }
+  if (!(slo_norm > 0.0 && slo_norm <= 1.0)) {
+    throw std::invalid_argument("Cluster: slo_norm must be in (0, 1]");
+  }
+  churn.validate();
+}
+
 Cluster::Cluster(const FleetConfig& config, const sim::AppCatalog& catalog)
-    : config_(config),
+    : config_(validated(config)),
       catalog_(&catalog),
       directory_(catalog, config.machine),
       churn_(config.churn, catalog),
       epoch_efu_hist_(kRatioSpec),
       epoch_slowdown_hist_(kRatioSpec) {
-  if (config.num_machines == 0) {
-    throw std::invalid_argument("Cluster: need at least one machine");
-  }
-  if (config.cores_used < 2 ||
-      config.cores_used > config.machine.num_cores) {
-    throw std::invalid_argument(
-        "Cluster: cores_used must be in [2, machine cores]");
-  }
-  if (config.epoch_sec < config.machine.quantum_sec - kEps) {
-    throw std::invalid_argument("Cluster: epoch shorter than one quantum");
-  }
-
   jobs_ = util::ThreadPool::resolve_jobs(config.jobs, "DICER_FLEET_JOBS");
   if (jobs_ > 1) pool_ = std::make_unique<util::ThreadPool>(jobs_);
 

@@ -77,6 +77,13 @@ struct FleetConfig {
   /// registry in machine-index order, so exports are byte-identical at any
   /// `jobs` count.
   telemetry::Registry* metrics = nullptr;
+
+  /// Throws std::invalid_argument on a config no fleet can run: no
+  /// machines, cores_used outside [2, machine cores], an epoch that is not
+  /// finite or is shorter than one quantum, slo_norm outside (0, 1], or a
+  /// churn config ChurnConfig::validate() rejects. (An unknown policy or
+  /// placement name is reported by its factory.)
+  void validate() const;
 };
 
 /// One epoch's fleet-level telemetry.
@@ -151,8 +158,7 @@ class Cluster {
  public:
   /// Builds num_machines booted machines (HP attached, policy set up).
   /// `catalog` must outlive the cluster. Throws std::invalid_argument on
-  /// a nonsensical config (no machines, cores out of range, epoch shorter
-  /// than a quantum).
+  /// a config FleetConfig::validate() rejects, before building anything.
   Cluster(const FleetConfig& config, const sim::AppCatalog& catalog);
   ~Cluster();
 

@@ -20,11 +20,12 @@ void PlacementIndex::OpenBits::push_back(bool open) {
 
 void PlacementIndex::OpenBits::set(std::size_t i, bool open) {
   if (bits_[i] == open) return;
-  const std::int64_t d = open ? 1 : -1;
+  // +1 or -1, the latter as its modulo-2^64 wrap.
+  const std::uint64_t d = open ? 1 : ~std::uint64_t{0};
   bits_[i] = open;
   total_ += d;
   for (std::size_t j = i + 1; j < tree_.size(); j += j & (~j + 1)) {
-    tree_[j] += static_cast<std::uint64_t>(d);
+    tree_[j] += d;
   }
 }
 

@@ -11,27 +11,37 @@ namespace dicer::sim {
 
 namespace {
 
-/// One region's bisection constants: per sharer, stream*frac followed by
-/// (rate*frac, footprint*frac) pairs, sharer k's entries ending at end[k].
-struct HoistedRegion {
+/// One region's demand scaled by each sharer's capacity fraction: sharer
+/// k's entries end at end[k] and hold its stream rate, then (rate,
+/// footprint) pairs. sharer_at is the solve's one occupancy evaluator: the
+/// never-fills test, Newton's passes and probes, the bisection and the
+/// per-sharer result all read the same products in the same order.
+struct ScaledRegion {
   const double* h;
   const std::size_t* end;
   std::size_t sharers;
+
+  /// Occupancy sharer k holds at characteristic time t. When `slope` is
+  /// given, the sharer's d(occupancy)/dt at t is added to it too.
+  double sharer_at(std::size_t k, double t, double* slope = nullptr) const {
+    std::size_t j = k == 0 ? 0 : end[k - 1];
+    double occ = h[j] * t;
+    if (slope) *slope += h[j];
+    for (++j; j < end[k]; j += 2) {
+      const double fill = h[j] * t;
+      occ += std::min(fill, h[j + 1]);
+      if (slope && fill < h[j + 1]) *slope += h[j];
+    }
+    return occ;
+  }
 
   /// Total occupancy the region would hold at characteristic time t. With
   /// every constant finite and >= 0 it is monotone non-decreasing in t even
   /// in floating point: each h*t rounds monotonically, min and + are
   /// monotone.
-  double total_at(double t) const {
+  double total_at(double t, double* slope = nullptr) const {
     double sum = 0.0;
-    std::size_t j = 0;
-    for (std::size_t k = 0; k < sharers; ++k) {
-      double app_occ = h[j++] * t;
-      for (; j < end[k]; j += 2) {
-        app_occ += std::min(h[j] * t, h[j + 1]);
-      }
-      sum += app_occ;
-    }
+    for (std::size_t k = 0; k < sharers; ++k) sum += sharer_at(k, t, slope);
     return sum;
   }
 
@@ -43,22 +53,8 @@ struct HoistedRegion {
   double newton_root(double t, double cap, double t_max) const {
     constexpr unsigned kMaxPasses = 8;
     for (unsigned pass = 0; pass < kMaxPasses; ++pass) {
-      double sum = 0.0, slope = 0.0;
-      std::size_t j = 0;
-      for (std::size_t k = 0; k < sharers; ++k) {
-        double app_occ = h[j] * t;
-        slope += h[j++];
-        for (; j < end[k]; j += 2) {
-          const double fill = h[j] * t;
-          if (fill < h[j + 1]) {
-            app_occ += fill;
-            slope += h[j];
-          } else {
-            app_occ += h[j + 1];
-          }
-        }
-        sum += app_occ;
-      }
+      double slope = 0.0;
+      const double sum = total_at(t, &slope);
       if (!(slope > 0.0)) {
         // Flat: every component saturated and no stream, so the root lies
         // below t. The slope at 0 is positive whenever the region fills.
@@ -72,6 +68,50 @@ struct HoistedRegion {
       if (converged) break;
     }
     return t;
+  }
+
+  /// T_c of a region that fills before t_max: `steps` halvings of
+  /// [0, t_max], so the mids, and with them every bit of T_c, are fixed by
+  /// the step count alone. An evaluation whose outcome is already known is
+  /// skipped, never the step itself. With finite non-negative constants
+  /// total_at is monotone, so total < cap at lo_known decides every
+  /// mid <= lo_known, and total >= cap at hi_known every mid >= hi_known.
+  /// Newton's method from `start` lands a few ulps from the root, and two
+  /// probes around it seed that bracket; most mids then fall outside it.
+  /// Any other input keeps both ends NaN: every mid is evaluated, except a
+  /// repeat of a point already evaluated (a mid equal to lo or hi), whose
+  /// outcome is its own.
+  double bisect(double cap, double t_max, double start, unsigned steps) const {
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    double lo_known = kNaN, hi_known = kNaN;
+    bool monotone = std::isfinite(cap) && std::isfinite(t_max);
+    for (std::size_t j = 0; j < end[sharers - 1]; ++j) {
+      monotone = monotone && h[j] >= 0.0 && std::isfinite(h[j]);
+    }
+    if (monotone) {
+      const double t =
+          newton_root(start > 0.0 && start <= t_max ? start : 0.0, cap, t_max);
+      for (const double probe : {t * (1.0 - 1e-12), t * (1.0 + 1e-12)}) {
+        if (total_at(probe) < cap) lo_known = probe;
+        else if (!(probe >= hi_known)) hi_known = probe;
+      }
+    }
+    double lo = 0.0, hi = t_max;
+    for (unsigned i = 0; i < steps; ++i) {
+      const double mid = 0.5 * (lo + hi);
+      bool below;
+      if (mid <= lo_known) {
+        below = true;
+      } else if (mid >= hi_known) {
+        below = false;
+      } else {
+        below = total_at(mid) < cap;
+        (below ? lo_known : hi_known) = mid;
+      }
+      if (below) lo = mid;
+      else hi = mid;
+    }
+    return 0.5 * (lo + hi);
   }
 };
 
@@ -124,180 +164,68 @@ std::vector<CacheRegion> decompose_regions(const std::vector<WayMask>& masks,
 }
 
 void solve_occupancy(const std::vector<CacheRegion>& regions,
-                     const std::vector<CacheDemand>& demand,
+                     const OccupancyDemand& demand,
                      const OccupancySolverConfig& config,
                      OccupancyScratch& scratch, std::vector<double>& occ) {
-  const std::size_t num_apps = demand.size();
+  const std::size_t num_apps = demand.num_apps();
+  const std::vector<double>& values = demand.values();
   occ.assign(num_apps, 0.0);
 
-  if (!scratch.layout_valid || scratch.avail.size() != num_apps ||
-      scratch.regions.size() != regions.size()) {
-    // An app eligible for several regions splits its rates proportionally
-    // to region capacity; both the per-app totals and the resulting
-    // per-region fractions depend only on the layout, so they are computed
-    // once per decomposition, not once per solve.
-    scratch.avail.assign(num_apps, 0.0);
-    for (const auto& r : regions) {
-      for (std::size_t a : r.sharers) scratch.avail[a] += r.capacity_bytes;
-    }
-    scratch.regions.resize(regions.size());
-    for (std::size_t ri = 0; ri < regions.size(); ++ri) {
-      const auto& r = regions[ri];
-      auto& rs = scratch.regions[ri];
-      rs.memo_valid = false;
-      rs.inputs.clear();
-      rs.frac.assign(r.sharers.size(), 0.0);
-      for (std::size_t k = 0; k < r.sharers.size(); ++k) {
-        const std::size_t a = r.sharers[k];
-        rs.frac[k] =
-            scratch.avail[a] > 0.0 ? r.capacity_bytes / scratch.avail[a] : 0.0;
-      }
-    }
-    scratch.layout_valid = true;
+  // An app eligible for several regions splits its rates across them in
+  // proportion to region capacity.
+  scratch.avail.assign(num_apps, 0.0);
+  for (const auto& r : regions) {
+    for (std::size_t a : r.sharers) scratch.avail[a] += r.capacity_bytes;
   }
+  scratch.t_c.resize(regions.size(), 0.0);
+  const double t_max = config.max_characteristic_time_sec;
 
   for (std::size_t ri = 0; ri < regions.size(); ++ri) {
     const auto& r = regions[ri];
     if (r.sharers.empty() || r.capacity_bytes <= 0.0) continue;
-    auto& rs = scratch.regions[ri];
-
-    // Flatten this region's inputs (per sharer: stream rate, then each
-    // reuse component) to detect a bit-identical re-solve.
-    auto& cur = scratch.flat;
-    cur.clear();
-    for (std::size_t a : r.sharers) {
-      const auto& d = demand[a];
-      cur.push_back(d.stream_bytes_per_sec);
-      for (const auto& c : d.reuse) {
-        cur.push_back(c.rate_bytes_per_sec);
-        cur.push_back(c.footprint_bytes);
-      }
-    }
-
-    if (rs.memo_valid && rs.inputs == cur) {
-      // Warm start: identical inputs reach the identical fixed point, so
-      // the stored solution is reused verbatim and the bisection skipped.
-      for (std::size_t k = 0; k < r.sharers.size(); ++k) {
-        occ[r.sharers[k]] += rs.contrib[k];
-      }
-      continue;
-    }
-    rs.memo_valid = false;
-    rs.inputs = cur;
     const std::size_t num_sharers = r.sharers.size();
-    // Total occupancy the region would hold at characteristic time t,
-    // reading straight from the nested demand vectors. `*` is
-    // left-associative, so stream*frac*t groups as (stream*frac)*t —
-    // bit-identical to the hoisted form used by the bisection below.
-    auto total_at_inline = [&](double t) {
-      double sum = 0.0;
-      for (std::size_t k = 0; k < num_sharers; ++k) {
-        const auto& d = demand[r.sharers[k]];
-        const double f = rs.frac[k];
-        double app_occ = d.stream_bytes_per_sec * f * t;
-        for (const auto& c : d.reuse) {
-          app_occ +=
-              std::min(c.rate_bytes_per_sec * f * t, c.footprint_bytes * f);
-        }
-        sum += app_occ;
-      }
-      return sum;
-    };
-    double t_c;
-    const double t_max = config.max_characteristic_time_sec;
-    if (total_at_inline(t_max) <= r.capacity_bytes) {
-      // The region never fills: every sharer keeps its full (scaled)
-      // footprint plus its entire streaming window. One evaluation, no
-      // bisection — and no point paying for the hoisted arrays below.
-      t_c = t_max;
-    } else {
-      // Hoist the frac products out of the t-sweep so each evaluation
-      // walks one flat array instead of re-deriving rate*frac /
-      // footprint*frac from the nested demand vectors. The raw inputs are
-      // already saved in rs.inputs, so the flattening buffer is scaled in
-      // place — no extra allocation. Same operand pairs, same rounding,
-      // same summation order as the inline evaluation — byte-identical t_c
-      // and contributions.
-      auto& h = cur;
-      auto& he = scratch.flat_end;
-      std::size_t s = 0;
-      for (std::size_t k = 0; k < num_sharers; ++k) {
-        const double f = rs.frac[k];
-        h[s++] *= f;
-        const std::size_t comps = demand[r.sharers[k]].reuse.size();
-        for (std::size_t c = 0; c < comps; ++c) {
-          h[s++] *= f;
-          h[s++] *= f;
-        }
-        he[k] = s;
-      }
-      const HoistedRegion region{h.data(), he.data(), num_sharers};
-      const double cap = r.capacity_bytes;
-
-      // The bisection below fixes t_c bit for bit; an evaluation whose
-      // outcome is already known is skipped, never the step itself. With
-      // finite non-negative constants total_at is monotone, so total < cap
-      // at lo_known decides every mid <= lo_known, and total >= cap at
-      // hi_known every mid >= hi_known. Newton's method lands a few ulps
-      // from the root, and two probes around it seed that bracket; most
-      // mids then fall outside it. Any other input keeps both ends NaN:
-      // every mid is evaluated, except a repeat of a point already
-      // evaluated (a mid equal to lo or hi), whose outcome is its own.
-      constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-      double lo_known = kNaN, hi_known = kNaN;
-      bool monotone = std::isfinite(cap) && std::isfinite(t_max);
-      for (std::size_t j = 0; j < s; ++j) {
-        monotone = monotone && h[j] >= 0.0 && std::isfinite(h[j]);
-      }
-      if (monotone) {
-        const double start = rs.t_c > 0.0 && rs.t_c <= t_max ? rs.t_c : 0.0;
-        const double t = region.newton_root(start, cap, t_max);
-        for (const double probe : {t * (1.0 - 1e-12), t * (1.0 + 1e-12)}) {
-          if (region.total_at(probe) < cap) lo_known = probe;
-          else if (!(probe >= hi_known)) hi_known = probe;
-        }
-      }
-      double lo = 0.0, hi = t_max;
-      for (unsigned i = 0; i < config.bisection_steps; ++i) {
-        const double mid = 0.5 * (lo + hi);
-        bool below;
-        if (mid <= lo_known) {
-          below = true;
-        } else if (mid >= hi_known) {
-          below = false;
-        } else {
-          below = region.total_at(mid) < cap;
-          (below ? lo_known : hi_known) = mid;
-        }
-        if (below) lo = mid;
-        else hi = mid;
-      }
-      t_c = 0.5 * (lo + hi);
-    }
-    rs.t_c = t_c;
-    rs.memo_valid = true;
-
-    rs.contrib.resize(num_sharers);
+    auto& h = scratch.scaled;
+    auto& he = scratch.scaled_end;
+    h.clear();
+    he.resize(num_sharers);
     for (std::size_t k = 0; k < num_sharers; ++k) {
-      const auto& d = demand[r.sharers[k]];
-      const double f = rs.frac[k];
-      double app_occ = d.stream_bytes_per_sec * f * t_c;
-      for (const auto& c : d.reuse) {
-        app_occ +=
-            std::min(c.rate_bytes_per_sec * f * t_c, c.footprint_bytes * f);
+      const std::size_t a = r.sharers[k];
+      const double f =
+          scratch.avail[a] > 0.0 ? r.capacity_bytes / scratch.avail[a] : 0.0;
+      for (std::size_t j = demand.begin(a); j < demand.end(a); ++j) {
+        h.push_back(values[j] * f);
       }
-      rs.contrib[k] = app_occ;
-      occ[r.sharers[k]] += app_occ;
+      he[k] = h.size();
+    }
+    const ScaledRegion region{h.data(), he.data(), num_sharers};
+
+    // A region that never fills keeps every sharer's full (scaled)
+    // footprint plus its entire streaming window: T_c = t_max.
+    double t_c = t_max;
+    if (!(region.total_at(t_max) <= r.capacity_bytes)) {
+      t_c = region.bisect(r.capacity_bytes, t_max, scratch.t_c[ri],
+                          config.bisection_steps);
+    }
+    scratch.t_c[ri] = t_c;
+    for (std::size_t k = 0; k < num_sharers; ++k) {
+      occ[r.sharers[k]] += region.sharer_at(k, t_c);
     }
   }
 }
 
 std::vector<double> solve_occupancy(const std::vector<CacheRegion>& regions,
                                     std::size_t num_apps,
-                                    const std::vector<CacheDemand>& demand,
+                                    const OccupancyDemand& demand,
                                     const OccupancySolverConfig& config) {
-  if (demand.size() != num_apps) {
+  if (demand.num_apps() != num_apps) {
     throw std::invalid_argument("solve_occupancy: demand size mismatch");
+  }
+  for (const auto& r : regions) {
+    for (std::size_t a : r.sharers) {
+      if (a >= num_apps) {
+        throw std::invalid_argument("solve_occupancy: sharer out of range");
+      }
+    }
   }
   OccupancyScratch scratch;
   std::vector<double> occ;

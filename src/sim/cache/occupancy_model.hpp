@@ -32,29 +32,54 @@
 // to region capacity.
 #pragma once
 
-#include <array>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/cache/way_mask.hpp"
 
 namespace dicer::sim {
 
-/// One re-used working set of an application, as seen by the occupancy
-/// model: a touch rate and the footprint it covers. Splitting an app's
-/// reuse into components matters because coverage is rate-proportional —
-/// a hot 1 MB set touched constantly is fully resident long before a
-/// lukewarm 20 MB tail gets anywhere, so the tail cannot dilute the hot
-/// set's stickiness.
-struct ReuseComponent {
-  double rate_bytes_per_sec = 0.0;
-  double footprint_bytes = 0.0;
-};
+/// Per-application cache demand for one solver call, every app in one flat
+/// array. App a's entries are values()[begin(a), end(a)): its
+/// compulsory/streaming fill rate (bytes/s), then one (touch rate in
+/// bytes/s, footprint in bytes) pair per re-used working set. Splitting an
+/// app's reuse into components matters because coverage is
+/// rate-proportional — a hot 1 MB set touched constantly is fully resident
+/// long before a lukewarm 20 MB tail gets anywhere, so the tail cannot
+/// dilute the hot set's stickiness. clear() keeps the capacity, so a
+/// caller that refills it every round allocates nothing in steady state.
+class OccupancyDemand {
+ public:
+  void clear() noexcept {
+    values_.clear();
+    end_.clear();
+  }
+  /// Append an app with no reuse components yet.
+  void add_app(double stream_bytes_per_sec) {
+    values_.push_back(stream_bytes_per_sec);
+    end_.push_back(values_.size());
+  }
+  /// Append a re-used working set to the app added last.
+  void add_reuse(double rate_bytes_per_sec, double footprint_bytes) {
+    if (end_.empty()) {
+      throw std::logic_error("OccupancyDemand::add_reuse: no app added");
+    }
+    values_.push_back(rate_bytes_per_sec);
+    values_.push_back(footprint_bytes);
+    end_.back() = values_.size();
+  }
 
-/// Per-application cache demand for one solver call.
-struct CacheDemand {
-  std::vector<ReuseComponent> reuse;  ///< re-used working sets
-  double stream_bytes_per_sec = 0.0;  ///< compulsory/streaming fill rate
+  std::size_t num_apps() const noexcept { return end_.size(); }
+  std::size_t begin(std::size_t app) const noexcept {
+    return app == 0 ? 0 : end_[app - 1];
+  }
+  std::size_t end(std::size_t app) const noexcept { return end_[app]; }
+  const std::vector<double>& values() const noexcept { return values_; }
+
+ private:
+  std::vector<double> values_;
+  std::vector<std::size_t> end_;  ///< per app, one past its last entry
 };
 
 /// A contiguous-capacity region of the LLC and the apps eligible to fill it.
@@ -76,58 +101,37 @@ struct OccupancySolverConfig {
   double max_characteristic_time_sec = 1e3;
 };
 
-/// Reusable buffers + cross-call memoisation for solve_occupancy. Owned by
-/// the caller, one per solver stream (e.g. one per sim::Machine) and one per
-/// solver config: the layout-derived state (per-app eligible capacity,
-/// per-region capacity fractions) is rebuilt after invalidate() or when the
-/// region/app counts change, and each region remembers the characteristic
-/// time of its last solve together with the exact inputs that produced it —
-/// when a region's demand is bit-identical to the previous call the
-/// bisection is skipped and the stored t_c reused verbatim. In the
-/// machine's steady state (converged fixed point, unchanged masks) that
-/// turns the per-quantum solve into a handful of comparisons. Results are
-/// byte-identical with or without scratch reuse.
+/// Reusable buffers for solve_occupancy, plus each region's last T_c as
+/// the next call's Newton start. Owned by the caller, one per solver
+/// stream (e.g. one per sim::Machine). The result is a pure function of
+/// (regions, demand, config): the start only decides how many bisection
+/// mids need evaluating, never where they fall, so any layout and any
+/// demand may follow any other through one scratch.
 struct OccupancyScratch {
-  struct RegionState {
-    double t_c = 0.0;            ///< last solve's T_c, next Newton start
-    bool memo_valid = false;     ///< t_c/inputs describe a completed solve
-    std::vector<double> frac;    ///< capacity fraction per sharer (layout)
-    std::vector<double> inputs;  ///< flattened demand behind the stored t_c
-    std::vector<double> contrib; ///< per-sharer occupancy at the stored t_c
-  };
-  std::vector<double> avail;        ///< per-app total eligible capacity
-  std::vector<RegionState> regions; ///< parallel to the region vector
-  /// Per-call flattening buffer. Doubles as the bisection's hoisted-constant
-  /// store: once the raw values are saved into the region's `inputs` memo,
-  /// each entry is scaled in place by its sharer's capacity fraction so the
-  /// Newton seed and the bisection's few evaluations walk one flat array
-  /// instead of re-deriving rate*frac / footprint*frac from the nested
-  /// demand vectors.
-  std::vector<double> flat;
-  /// Per-sharer end offsets into `flat` for the bisection's t-sweep (a
-  /// region has at most 64 sharers — decompose_regions enforces it). Fixed
-  /// storage keeps the convenience wrapper's cold path allocation-free.
-  std::array<std::size_t, 64> flat_end{};
-  bool layout_valid = false;
-
-  /// Must be called whenever the region decomposition changes shape or
-  /// content (mask change, app attach/detach). Equal-sized but different
-  /// layouts are NOT auto-detected.
-  void invalidate() noexcept { layout_valid = false; }
+  std::vector<double> avail;  ///< per-app total eligible capacity
+  /// One region's demand with every entry scaled by its sharer's capacity
+  /// fraction, laid out like OccupancyDemand; sharer k's entries end at
+  /// scaled_end[k].
+  std::vector<double> scaled;
+  std::vector<std::size_t> scaled_end;
+  std::vector<double> t_c;  ///< per region, the last solve's T_c
 };
 
 /// Solve the characteristic-time fixed point. Returns per-app effective
-/// cache bytes; an app sharing no region gets 0.
+/// cache bytes; an app sharing no region gets 0. Throws
+/// std::invalid_argument when demand does not hold `num_apps` apps or a
+/// region names a sharer outside them.
 std::vector<double> solve_occupancy(const std::vector<CacheRegion>& regions,
                                     std::size_t num_apps,
-                                    const std::vector<CacheDemand>& demand,
+                                    const OccupancyDemand& demand,
                                     const OccupancySolverConfig& config = {});
 
 /// Allocation-free variant: byte-identical results, but reuses `scratch`
-/// (buffers + warm-start memo) and writes into `occ`, resized to
-/// demand.size(). The steady-state path performs no heap allocation.
+/// and writes into `occ`, resized to demand.num_apps(). Every sharer index
+/// must be below demand.num_apps(). The steady-state path performs no heap
+/// allocation.
 void solve_occupancy(const std::vector<CacheRegion>& regions,
-                     const std::vector<CacheDemand>& demand,
+                     const OccupancyDemand& demand,
                      const OccupancySolverConfig& config,
                      OccupancyScratch& scratch, std::vector<double>& occ);
 

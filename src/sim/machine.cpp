@@ -47,11 +47,12 @@ Machine::Machine(const MachineConfig& config)
   if (config_.llc.ways == 0 || config_.llc.ways > kMaxWays) {
     throw std::invalid_argument("Machine: unsupported LLC way count");
   }
-  if (config_.quantum_sec <= 0.0) {
-    throw std::invalid_argument("Machine: quantum must be > 0");
+  // Negated so NaN fails too: run_for casts seconds / quantum to a count.
+  if (!(config_.quantum_sec > 0.0) || !std::isfinite(config_.quantum_sec)) {
+    throw std::invalid_argument("Machine: quantum must be finite and > 0");
   }
-  if (config_.freq_hz <= 0.0) {
-    throw std::invalid_argument("Machine: frequency must be > 0");
+  if (!(config_.freq_hz > 0.0) || !std::isfinite(config_.freq_hz)) {
+    throw std::invalid_argument("Machine: frequency must be finite and > 0");
   }
   stats_.rounds_hist.assign(std::max(config_.fixed_point_rounds, 1u), 0);
 }
@@ -65,7 +66,6 @@ void Machine::check_core(unsigned core) const {
 
 void Machine::invalidate_regions() noexcept {
   regions_valid_ = false;
-  scratch_.occupancy.invalidate();
   invalidate_solve();
 }
 
@@ -284,7 +284,6 @@ bool Machine::solve_quantum() {
   s.occ.assign(n, 0.0);
   s.miss.assign(n, 1.0);
   s.demand.assign(n, 0.0);
-  s.cache_demand.resize(n);
 
   unsigned rounds_used = 0;
   bool stable = false;
@@ -292,21 +291,18 @@ bool Machine::solve_quantum() {
     // 1. Occupancy under current IPS estimates (Che working-set model).
     //    Each MRC component becomes a reuse component whose touch rate is
     //    proportional to its miss-mass weight.
+    s.cache_demand.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const auto& rec = *s.rec[i];
       const double touch = s.phase[i]->api * s.ips[i] * line;
-      auto& cd = s.cache_demand[i];
-      const std::size_t comps = rec.wfrac.size();
-      cd.reuse.resize(comps);
-      for (std::size_t j = 0; j < comps; ++j) {
-        cd.reuse[j].rate_bytes_per_sec =
-            touch * rec.one_minus_sf * rec.wfrac[j];
-        cd.reuse[j].footprint_bytes = rec.ws[j];
+      s.cache_demand.add_app(touch * rec.sf);
+      for (std::size_t j = 0; j < rec.wfrac.size(); ++j) {
+        s.cache_demand.add_reuse(touch * rec.one_minus_sf * rec.wfrac[j],
+                                 rec.ws[j]);
       }
-      cd.stream_bytes_per_sec = touch * rec.sf;
     }
-    solve_occupancy(regions_, s.cache_demand, config_.occupancy, s.occupancy,
-                    s.occ);
+    solve_occupancy(regions_, s.cache_demand, OccupancySolverConfig{},
+                    s.occupancy, s.occ);
 
     // 2. Miss ratios (memoised per core) and bandwidth demand.
     for (std::size_t i = 0; i < n; ++i) {

@@ -77,7 +77,6 @@ struct MachineConfig {
   double quantum_sec = 0.010;
   unsigned fixed_point_rounds = 8;
   double fixed_point_damping = 0.5;
-  OccupancySolverConfig occupancy{};
   /// Event sink for per-quantum counters (trace::Kind::kQuantum: rho,
   /// achieved traffic, per-core IPC and LLC occupancy). Null resolves to
   /// the process-global tracer; the kind is outside the default mask, so
@@ -134,7 +133,7 @@ struct StepScratch {
   std::vector<double> occ;
   std::vector<double> miss;
   std::vector<double> demand;
-  std::vector<CacheDemand> cache_demand;
+  OccupancyDemand cache_demand;
   LinkArbitration arb;
   OccupancyScratch occupancy;
 };

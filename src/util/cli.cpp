@@ -91,6 +91,11 @@ bool CliArgs::get_bool(const std::string& key, bool def) const {
 }
 
 void CliArgs::reject_unknown() const {
+  if (kv_.count("help") > 0 && read_.count("help") == 0) {
+    std::string usage = "usage: " + program_ + " [flags]\nflags:";
+    for (const auto& key : read_) usage += "\n  --" + key;
+    throw CliHelp(usage);
+  }
   for (const auto& [key, value] : kv_) {
     if (read_.count(key) == 0) throw CliError("unknown flag --" + key);
   }
@@ -123,6 +128,9 @@ void apply_log_level_flag(const CliArgs& args) {
 int cli_main_guard(const char* program, const std::function<int()>& body) {
   try {
     return body();
+  } catch (const CliHelp& help) {
+    std::cout << help.what() << "\n";
+    return 0;
   } catch (const CliError& e) {
     std::cerr << program << ": error: " << e.what() << "\n";
     return 2;

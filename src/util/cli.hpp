@@ -7,7 +7,9 @@
 // the key it read; a front-end that has read all its flags calls
 // reject_unknown() so a misspelled or retired flag fails loudly too.
 // Front-ends catch CliError at the top of main (see cli_main_guard) and
-// turn it into a one-line error plus a non-zero exit.
+// turn it into a one-line error plus a non-zero exit. A --help no getter
+// read makes reject_unknown() throw CliHelp instead, listing every flag
+// the front-end read; cli_main_guard prints it and exits 0.
 #pragma once
 
 #include <functional>
@@ -30,6 +32,13 @@ class CliError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Thrown by CliArgs::reject_unknown() on --help; what() is the usage
+/// text: the program name and every flag the front-end read.
+class CliHelp : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);
@@ -45,6 +54,7 @@ class CliArgs {
   bool get_bool(const std::string& key, bool def) const;
   /// Throw CliError("unknown flag --X") for the first flag (in key order)
   /// that no getter or has() has read. Call it once every flag is read.
+  /// An unread --help throws CliHelp instead.
   void reject_unknown() const;
 
   /// Non-flag positional arguments in order.
@@ -84,8 +94,9 @@ T count_flag(const CliArgs& args, const std::string& key, T def) {
 void apply_log_level_flag(const CliArgs& args);
 
 /// Run `body` and translate CliError (and std::exception generally) into a
-/// one-line `program: error: ...` on stderr plus exit code 2 — the shared
-/// epilogue of every example/bench main:
+/// one-line `program: error: ...` on stderr plus exit code 2 (1 for other
+/// exceptions), and CliHelp into its usage text on stdout plus exit code 0
+/// — the shared epilogue of every example/bench main:
 ///
 ///   int main(int argc, char** argv) {
 ///     return util::cli_main_guard(argv[0], [&] { ...; return 0; });

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "sim/core/catalog.hpp"
@@ -25,6 +26,25 @@ TEST(ChurnGenerator, ValidatesConfig) {
   bad = fast_config();
   bad.mean_lifetime_sec = -1.0;
   EXPECT_THROW(ChurnGenerator(bad, catalog), std::invalid_argument);
+}
+
+// NaN passes a `<= 0` check: a NaN rate drew no arrival ever, a NaN
+// lifetime a tenant that never departs.
+TEST(ChurnGenerator, RejectsNonFiniteConfig) {
+  const auto& catalog = sim::default_catalog();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    ChurnConfig c = fast_config();
+    c.arrival_rate_per_sec = bad;
+    EXPECT_THROW(ChurnGenerator(c, catalog), std::invalid_argument) << bad;
+    c = fast_config();
+    c.mean_lifetime_sec = bad;
+    EXPECT_THROW(ChurnGenerator(c, catalog), std::invalid_argument) << bad;
+    c = fast_config();
+    c.min_lifetime_sec = bad;
+    EXPECT_THROW(ChurnGenerator(c, catalog), std::invalid_argument) << bad;
+  }
 }
 
 TEST(ChurnGenerator, ArrivalsAreOrderedAndDistinct) {

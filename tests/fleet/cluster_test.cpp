@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -119,6 +120,52 @@ TEST(Cluster, ValidatesConfig) {
   fc = small_config();
   fc.placement = "bogus";
   EXPECT_THROW(Cluster(fc, catalog), std::invalid_argument);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// An infinite epoch passed the "not shorter than a quantum" check and
+// run_until then never reached its boundary (`fleet_sim --epoch inf` hung).
+TEST(Cluster, RejectsNonFiniteEpoch) {
+  for (const double bad : {kInf, kNaN}) {
+    FleetConfig fc = small_config();
+    fc.epoch_sec = bad;
+    EXPECT_THROW(fc.validate(), std::invalid_argument) << bad;
+    EXPECT_THROW(Cluster(fc, sim::default_catalog()), std::invalid_argument)
+        << bad;
+  }
+}
+
+// A NaN arrival rate passed the `<= 0` check and the fleet ran with no
+// arrivals at all (`fleet_sim --arrival-rate nan` exited 0).
+TEST(Cluster, RejectsNanArrivalRate) {
+  FleetConfig fc = small_config();
+  fc.churn.arrival_rate_per_sec = kNaN;
+  EXPECT_THROW(fc.validate(), std::invalid_argument);
+  EXPECT_THROW(Cluster(fc, sim::default_catalog()), std::invalid_argument);
+}
+
+TEST(Cluster, RejectsNanMeanLifetime) {
+  FleetConfig fc = small_config();
+  fc.churn.mean_lifetime_sec = kNaN;
+  EXPECT_THROW(fc.validate(), std::invalid_argument);
+  EXPECT_THROW(Cluster(fc, sim::default_catalog()), std::invalid_argument);
+}
+
+// No normalised IPC falls below a non-positive SLO, so `--slo -1` counted
+// no violation ever; above 1 even a solo HP would violate.
+TEST(Cluster, RejectsSloOutsideUnitInterval) {
+  for (const double bad : {-1.0, 0.0, 1.5, kNaN, kInf}) {
+    FleetConfig fc = small_config();
+    fc.slo_norm = bad;
+    EXPECT_THROW(fc.validate(), std::invalid_argument) << bad;
+    EXPECT_THROW(Cluster(fc, sim::default_catalog()), std::invalid_argument)
+        << bad;
+  }
+  FleetConfig fc = small_config();
+  fc.slo_norm = 1.0;
+  EXPECT_NO_THROW(fc.validate());
 }
 
 TEST(Cluster, EpochInvariants) {

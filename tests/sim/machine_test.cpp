@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/core/catalog.hpp"
 
 namespace dicer::sim {
@@ -24,6 +26,26 @@ TEST(Machine, ValidatesConfig) {
   c = MachineConfig{};
   c.llc.ways = 0;
   EXPECT_THROW(Machine{c}, std::invalid_argument);
+}
+
+// NaN passes a `<= 0` check, and run_for casts seconds / quantum to a
+// quantum count.
+TEST(Machine, RejectsNonFiniteQuantum) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    MachineConfig c;
+    c.quantum_sec = bad;
+    EXPECT_THROW(Machine{c}, std::invalid_argument) << bad;
+  }
+}
+
+TEST(Machine, RejectsNonFiniteFrequency) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    MachineConfig c;
+    c.freq_hz = bad;
+    EXPECT_THROW(Machine{c}, std::invalid_argument) << bad;
+  }
 }
 
 TEST(Machine, AttachDetachLifecycle) {

@@ -71,16 +71,53 @@ TEST(DecomposeRegions, TooManyAppsThrows) {
   EXPECT_THROW(decompose_regions(masks, 20, MB), std::invalid_argument);
 }
 
-CacheDemand reuse_app(double rate, double footprint) {
-  CacheDemand d;
-  d.reuse = {{rate, footprint}};
-  return d;
+// One app's demand in nested form: the tests build and nudge demands this
+// way, the solver reads them through flat(), and the oracle below reads
+// the nested form directly, so the flat layout is checked as well.
+struct AppDemand {
+  double stream = 0.0;
+  std::vector<std::pair<double, double>> reuse;  ///< (rate, footprint)
+};
+
+AppDemand reuse_app(double rate, double footprint) {
+  return AppDemand{0.0, {{rate, footprint}}};
 }
 
-CacheDemand stream_app(double rate) {
-  CacheDemand d;
-  d.stream_bytes_per_sec = rate;
-  return d;
+AppDemand stream_app(double rate) { return AppDemand{rate, {}}; }
+
+OccupancyDemand flat(const std::vector<AppDemand>& apps) {
+  OccupancyDemand demand;
+  for (const auto& app : apps) {
+    demand.add_app(app.stream);
+    for (const auto& [rate, footprint] : app.reuse) {
+      demand.add_reuse(rate, footprint);
+    }
+  }
+  return demand;
+}
+
+std::vector<double> solve_occupancy(const std::vector<CacheRegion>& regions,
+                                    std::size_t num_apps,
+                                    const std::vector<AppDemand>& apps,
+                                    const OccupancySolverConfig& config = {}) {
+  return sim::solve_occupancy(regions, num_apps, flat(apps), config);
+}
+
+TEST(OccupancyDemand, FlatLayout) {
+  const auto demand =
+      flat({stream_app(5.0), AppDemand{1.0, {{2.0, 3.0}, {4.0, 6.0}}},
+            reuse_app(7.0, 8.0)});
+  ASSERT_EQ(demand.num_apps(), 3u);
+  EXPECT_EQ(demand.values(),
+            (std::vector<double>{5.0, 1.0, 2.0, 3.0, 4.0, 6.0, 0.0, 7.0, 8.0}));
+  EXPECT_EQ(demand.begin(0), 0u);
+  EXPECT_EQ(demand.end(0), 1u);
+  EXPECT_EQ(demand.begin(1), 1u);
+  EXPECT_EQ(demand.end(1), 6u);
+  EXPECT_EQ(demand.begin(2), 6u);
+  EXPECT_EQ(demand.end(2), 9u);
+  OccupancyDemand empty;
+  EXPECT_THROW(empty.add_reuse(1.0, 1.0), std::logic_error);
 }
 
 TEST(SolveOccupancy, LoneStreamerFillsRegion) {
@@ -100,7 +137,7 @@ TEST(SolveOccupancy, LoneSmallFootprintDoesNotFill) {
 TEST(SolveOccupancy, CapacityConserved) {
   std::vector<WayMask> masks(4, WayMask::full(20));
   const auto regions = decompose_regions(masks, 20, MB);
-  std::vector<CacheDemand> demand = {
+  std::vector<AppDemand> demand = {
       stream_app(2 * GBs), reuse_app(1 * GBs, 40 * MB),
       reuse_app(0.5 * GBs, 10 * MB), stream_app(1 * GBs)};
   const auto occ = solve_occupancy(regions, 4, demand);
@@ -113,7 +150,7 @@ TEST(SolveOccupancy, HotSmallSetStaysResidentNextToStorm) {
   // victim keeps its working set even next to nine streaming aggressors.
   std::vector<WayMask> masks(10, WayMask::full(20));
   const auto regions = decompose_regions(masks, 20, MB);
-  std::vector<CacheDemand> demand;
+  std::vector<AppDemand> demand;
   demand.push_back(reuse_app(0.5 * GBs, 1 * MB));  // hot victim
   for (int i = 0; i < 9; ++i) demand.push_back(stream_app(3 * GBs));
   const auto occ = solve_occupancy(regions, 10, demand);
@@ -142,21 +179,24 @@ TEST(SolveOccupancy, ZeroDemandGetsZero) {
   std::vector<WayMask> masks(2, WayMask::full(20));
   const auto regions = decompose_regions(masks, 20, MB);
   const auto occ =
-      solve_occupancy(regions, 2, {reuse_app(1 * GBs, 50 * MB), CacheDemand{}});
+      solve_occupancy(regions, 2, {reuse_app(1 * GBs, 50 * MB), AppDemand{}});
   EXPECT_DOUBLE_EQ(occ[1], 0.0);
 }
 
 TEST(SolveOccupancy, DemandSizeMismatchThrows) {
   std::vector<WayMask> masks(2, WayMask::full(20));
   const auto regions = decompose_regions(masks, 20, MB);
-  EXPECT_THROW(solve_occupancy(regions, 2, {CacheDemand{}}),
+  EXPECT_THROW(solve_occupancy(regions, 2, {AppDemand{}}),
+               std::invalid_argument);
+  // A region naming an app the demand does not hold.
+  EXPECT_THROW(solve_occupancy(regions, 1, {AppDemand{}}),
                std::invalid_argument);
 }
 
 TEST(SolveOccupancy, MultiComponentHotFillsBeforeTail) {
   std::vector<WayMask> masks(2, WayMask::full(4));
   const auto regions = decompose_regions(masks, 4, MB);  // 4 MB total
-  CacheDemand app;
+  AppDemand app;
   app.reuse = {{1 * GBs, 1 * MB},      // hot: covered fast
                {0.05 * GBs, 20 * MB}}; // lukewarm tail
   const auto occ =
@@ -165,14 +205,62 @@ TEST(SolveOccupancy, MultiComponentHotFillsBeforeTail) {
   EXPECT_GT(occ[0], 0.9 * MB);
 }
 
-// --- scratch / warm-start solver ------------------------------------------
+// --- oracle: the bisection evaluating every mid --------------------------
+//
+// The production solver skips each bisection evaluation whose outcome
+// monotonicity already decides. The reference below is the same solve
+// evaluating all of them, read straight off the nested demand: the same 48
+// mids and the same (rate*frac)*t and min((rate*frac)*t, footprint*frac)
+// products summed in the same order, so every occupancy must match it bit
+// for bit, NaN payloads included.
+
+std::vector<double> oracle_occ(const std::vector<CacheRegion>& regions,
+                               const std::vector<AppDemand>& demand,
+                               const OccupancySolverConfig& config = {}) {
+  const std::size_t num_apps = demand.size();
+  std::vector<double> occ(num_apps, 0.0);
+  std::vector<double> avail(num_apps, 0.0);
+  for (const auto& r : regions) {
+    for (std::size_t a : r.sharers) avail[a] += r.capacity_bytes;
+  }
+  const double t_max = config.max_characteristic_time_sec;
+  for (const auto& r : regions) {
+    if (r.sharers.empty() || r.capacity_bytes <= 0.0) continue;
+    // `*` is left-associative: stream*f*t groups as (stream*f)*t.
+    auto app_at = [&](std::size_t a, double t) {
+      const double f = avail[a] > 0.0 ? r.capacity_bytes / avail[a] : 0.0;
+      double app_occ = demand[a].stream * f * t;
+      for (const auto& [rate, footprint] : demand[a].reuse) {
+        app_occ += std::min(rate * f * t, footprint * f);
+      }
+      return app_occ;
+    };
+    auto total_at = [&](double t) {
+      double sum = 0.0;
+      for (std::size_t a : r.sharers) sum += app_at(a, t);
+      return sum;
+    };
+    double t_c = t_max;
+    if (!(total_at(t_max) <= r.capacity_bytes)) {
+      double lo = 0.0, hi = t_max;
+      for (unsigned i = 0; i < config.bisection_steps; ++i) {
+        const double mid = 0.5 * (lo + hi);
+        if (total_at(mid) < r.capacity_bytes) lo = mid;
+        else hi = mid;
+      }
+      t_c = 0.5 * (lo + hi);
+    }
+    for (std::size_t a : r.sharers) occ[a] += app_at(a, t_c);
+  }
+  return occ;
+}
 
 std::vector<double> solve_with_scratch(
     const std::vector<CacheRegion>& regions,
-    const std::vector<CacheDemand>& demand, OccupancyScratch& scratch,
+    const std::vector<AppDemand>& demand, OccupancyScratch& scratch,
     const OccupancySolverConfig& config = {}) {
   std::vector<double> occ;
-  solve_occupancy(regions, demand, config, scratch, occ);
+  sim::solve_occupancy(regions, flat(demand), config, scratch, occ);
   return occ;
 }
 
@@ -188,253 +276,16 @@ void expect_bitwise_equal(const std::vector<double>& got,
   }
 }
 
-TEST(OccupancyScratchSolver, MatchesAllocatingSolverBitwise) {
-  std::vector<WayMask> masks = {WayMask::high(19, 20), WayMask::low(1),
-                                WayMask::low(1)};
-  const auto regions = decompose_regions(masks, 20, MB);
-  OccupancyScratch scratch;
-  // A sequence of changing demands through one reused scratch must be
-  // byte-identical to fresh allocating solves at every step.
-  for (int it = 0; it < 5; ++it) {
-    std::vector<CacheDemand> demand = {
-        reuse_app((1.0 + 0.3 * it) * GBs, 5 * MB),
-        stream_app((2.0 + it) * GBs),
-        reuse_app(0.5 * GBs, (10.0 + it) * MB)};
-    expect_bitwise_equal(solve_with_scratch(regions, demand, scratch),
-                         solve_occupancy(regions, 3, demand));
-  }
-}
-
-TEST(OccupancyScratchSolver, MemoHitReproducesColdSolve) {
-  std::vector<WayMask> masks(4, WayMask::full(20));
-  const auto regions = decompose_regions(masks, 20, MB);
-  const std::vector<CacheDemand> demand = {
-      stream_app(2 * GBs), reuse_app(1 * GBs, 40 * MB),
-      reuse_app(0.5 * GBs, 10 * MB), stream_app(1 * GBs)};
-  OccupancyScratch scratch;
-  const auto cold = solve_with_scratch(regions, demand, scratch);
-  // Second call with identical inputs takes the warm-start path.
-  expect_bitwise_equal(solve_with_scratch(regions, demand, scratch), cold);
-  // A one-ulp nudge of a single rate must defeat the memo: the result has
-  // to match a fresh solve of the nudged demand, not the stale one.
-  auto nudged = demand;
-  nudged[1].reuse[0].rate_bytes_per_sec =
-      std::nextafter(nudged[1].reuse[0].rate_bytes_per_sec, 2e18);
-  expect_bitwise_equal(solve_with_scratch(regions, nudged, scratch),
-                       solve_occupancy(regions, 4, nudged));
-}
-
-TEST(OccupancyScratchSolver, InvalidateTracksLayoutChange) {
-  OccupancyScratch scratch;
-  const std::vector<CacheDemand> demand = {reuse_app(1 * GBs, 30 * MB),
-                                           stream_app(5 * GBs)};
-  // Same region count, same app count, different capacities: the scratch
-  // cannot auto-detect this — invalidate() is the caller's contract.
-  std::vector<WayMask> shared = {WayMask::high(19, 20), WayMask::low(1)};
-  std::vector<WayMask> even = {WayMask::high(10, 20), WayMask::low(10)};
-  const auto regions_a = decompose_regions(shared, 20, MB);
-  const auto regions_b = decompose_regions(even, 20, MB);
-  expect_bitwise_equal(solve_with_scratch(regions_a, demand, scratch),
-                       solve_occupancy(regions_a, 2, demand));
-  scratch.invalidate();
-  expect_bitwise_equal(solve_with_scratch(regions_b, demand, scratch),
-                       solve_occupancy(regions_b, 2, demand));
-}
-
-TEST(OccupancyScratchSolver, ShapeChangeDetectedWithoutInvalidate) {
-  // Region-count and app-count changes are auto-detected even if the
-  // caller forgets invalidate().
-  OccupancyScratch scratch;
-  std::vector<WayMask> one = {WayMask::full(20)};
-  std::vector<WayMask> three = {WayMask::high(19, 20), WayMask::low(1),
-                                WayMask::low(1)};
-  const auto regions_one = decompose_regions(one, 20, MB);
-  const auto regions_three = decompose_regions(three, 20, MB);
-  const std::vector<CacheDemand> d1 = {stream_app(1 * GBs)};
-  const std::vector<CacheDemand> d3 = {reuse_app(1 * GBs, 5 * MB),
-                                       stream_app(2 * GBs),
-                                       stream_app(3 * GBs)};
-  expect_bitwise_equal(solve_with_scratch(regions_one, d1, scratch),
-                       solve_occupancy(regions_one, 1, d1));
-  expect_bitwise_equal(solve_with_scratch(regions_three, d3, scratch),
-                       solve_occupancy(regions_three, 3, d3));
-}
-
-// --- oracle: the bisection evaluating every mid --------------------------
-//
-// The production solver skips each bisection evaluation whose outcome
-// monotonicity already decides. The reference below is the same solver
-// evaluating all of them: the same 48 mids, so every occupancy must match
-// it bit for bit, NaN payloads included.
-
-void oracle_solve_occupancy(const std::vector<CacheRegion>& regions,
-                            const std::vector<CacheDemand>& demand,
-                            const OccupancySolverConfig& config,
-                            OccupancyScratch& scratch,
-                            std::vector<double>& occ) {
-  const std::size_t num_apps = demand.size();
-  occ.assign(num_apps, 0.0);
-
-  if (!scratch.layout_valid || scratch.avail.size() != num_apps ||
-      scratch.regions.size() != regions.size()) {
-    // An app eligible for several regions splits its rates proportionally
-    // to region capacity; both the per-app totals and the resulting
-    // per-region fractions depend only on the layout, so they are computed
-    // once per decomposition, not once per solve.
-    scratch.avail.assign(num_apps, 0.0);
-    for (const auto& r : regions) {
-      for (std::size_t a : r.sharers) scratch.avail[a] += r.capacity_bytes;
-    }
-    scratch.regions.resize(regions.size());
-    for (std::size_t ri = 0; ri < regions.size(); ++ri) {
-      const auto& r = regions[ri];
-      auto& rs = scratch.regions[ri];
-      rs.memo_valid = false;
-      rs.inputs.clear();
-      rs.frac.assign(r.sharers.size(), 0.0);
-      for (std::size_t k = 0; k < r.sharers.size(); ++k) {
-        const std::size_t a = r.sharers[k];
-        rs.frac[k] =
-            scratch.avail[a] > 0.0 ? r.capacity_bytes / scratch.avail[a] : 0.0;
-      }
-    }
-    scratch.layout_valid = true;
-  }
-
-  for (std::size_t ri = 0; ri < regions.size(); ++ri) {
-    const auto& r = regions[ri];
-    if (r.sharers.empty() || r.capacity_bytes <= 0.0) continue;
-    auto& rs = scratch.regions[ri];
-
-    // Flatten this region's inputs (per sharer: stream rate, then each
-    // reuse component) to detect a bit-identical re-solve.
-    auto& cur = scratch.flat;
-    cur.clear();
-    for (std::size_t a : r.sharers) {
-      const auto& d = demand[a];
-      cur.push_back(d.stream_bytes_per_sec);
-      for (const auto& c : d.reuse) {
-        cur.push_back(c.rate_bytes_per_sec);
-        cur.push_back(c.footprint_bytes);
-      }
-    }
-
-    if (rs.memo_valid && rs.inputs == cur) {
-      // Warm start: identical inputs reach the identical fixed point, so
-      // the stored solution is reused verbatim and the bisection skipped.
-      for (std::size_t k = 0; k < r.sharers.size(); ++k) {
-        occ[r.sharers[k]] += rs.contrib[k];
-      }
-      continue;
-    }
-    rs.memo_valid = false;
-    rs.inputs = cur;
-    const std::size_t num_sharers = r.sharers.size();
-    // Total occupancy the region would hold at characteristic time t,
-    // reading straight from the nested demand vectors. `*` is
-    // left-associative, so stream*frac*t groups as (stream*frac)*t —
-    // bit-identical to the hoisted form used by the bisection below.
-    auto total_at_inline = [&](double t) {
-      double sum = 0.0;
-      for (std::size_t k = 0; k < num_sharers; ++k) {
-        const auto& d = demand[r.sharers[k]];
-        const double f = rs.frac[k];
-        double app_occ = d.stream_bytes_per_sec * f * t;
-        for (const auto& c : d.reuse) {
-          app_occ +=
-              std::min(c.rate_bytes_per_sec * f * t, c.footprint_bytes * f);
-        }
-        sum += app_occ;
-      }
-      return sum;
-    };
-    double t_c;
-    const double t_max = config.max_characteristic_time_sec;
-    if (total_at_inline(t_max) <= r.capacity_bytes) {
-      // The region never fills: every sharer keeps its full (scaled)
-      // footprint plus its entire streaming window. One evaluation, no
-      // bisection — and no point paying for the hoisted arrays below.
-      t_c = t_max;
-    } else {
-      // Hoist the frac products out of the t-sweep: the bisection is a
-      // latency chain of ~50 sequential evaluations, and each used to
-      // re-derive rate*frac / footprint*frac from the nested demand
-      // vectors. The raw inputs are already saved in rs.inputs, so the
-      // flattening buffer is scaled in place — no extra allocation. Same
-      // operand pairs, same rounding, same summation order as the inline
-      // evaluation — byte-identical t_c and contributions.
-      auto& h = cur;
-      auto& he = scratch.flat_end;
-      std::size_t s = 0;
-      for (std::size_t k = 0; k < num_sharers; ++k) {
-        const double f = rs.frac[k];
-        h[s++] *= f;
-        const std::size_t comps = demand[r.sharers[k]].reuse.size();
-        for (std::size_t c = 0; c < comps; ++c) {
-          h[s++] *= f;
-          h[s++] *= f;
-        }
-        he[k] = s;
-      }
-      auto total_at = [&](double t) {
-        double sum = 0.0;
-        std::size_t j = 0;
-        for (std::size_t k = 0; k < num_sharers; ++k) {
-          double app_occ = h[j++] * t;
-          const std::size_t end = he[k];
-          for (; j < end; j += 2) {
-            app_occ += std::min(h[j] * t, h[j + 1]);
-          }
-          sum += app_occ;
-        }
-        return sum;
-      };
-      double lo = 0.0, hi = t_max;
-      for (unsigned i = 0; i < config.bisection_steps; ++i) {
-        const double mid = 0.5 * (lo + hi);
-        if (total_at(mid) < r.capacity_bytes) lo = mid;
-        else hi = mid;
-      }
-      t_c = 0.5 * (lo + hi);
-    }
-    rs.t_c = t_c;
-    rs.memo_valid = true;
-
-    rs.contrib.resize(num_sharers);
-    for (std::size_t k = 0; k < num_sharers; ++k) {
-      const auto& d = demand[r.sharers[k]];
-      const double f = rs.frac[k];
-      double app_occ = d.stream_bytes_per_sec * f * t_c;
-      for (const auto& c : d.reuse) {
-        app_occ +=
-            std::min(c.rate_bytes_per_sec * f * t_c, c.footprint_bytes * f);
-      }
-      rs.contrib[k] = app_occ;
-      occ[r.sharers[k]] += app_occ;
-    }
-  }
-}
-
-std::vector<double> oracle_occ(const std::vector<CacheRegion>& regions,
-                               const std::vector<CacheDemand>& demand,
-                               const OccupancySolverConfig& config = {}) {
-  OccupancyScratch fresh;
-  std::vector<double> occ;
-  oracle_solve_occupancy(regions, demand, config, fresh, occ);
-  return occ;
-}
-
-// Fresh scratch and a reused one (after invalidate(), so the Newton start
-// is a stale t_c from an unrelated region) must both match the oracle.
+// A fresh scratch and a reused one, whose Newton start is a stale T_c from
+// an unrelated region, must both match the oracle.
 void expect_matches_oracle(const std::vector<CacheRegion>& regions,
-                           const std::vector<CacheDemand>& demand,
+                           const std::vector<AppDemand>& demand,
                            OccupancyScratch& reused, const std::string& what,
                            const OccupancySolverConfig& config = {}) {
   const auto want = oracle_occ(regions, demand, config);
   OccupancyScratch fresh;
   expect_bitwise_equal(solve_with_scratch(regions, demand, fresh, config),
                        want, what + " (fresh scratch)");
-  reused.invalidate();
   expect_bitwise_equal(solve_with_scratch(regions, demand, reused, config),
                        want, what + " (reused scratch)");
 }
@@ -447,16 +298,15 @@ double log_uniform(util::Xoshiro256& rng, double lo, double hi) {
   return std::exp(rng.uniform(std::log(lo), std::log(hi)));
 }
 
-std::vector<CacheDemand> random_demand(util::Xoshiro256& rng,
-                                       std::size_t sharers) {
-  std::vector<CacheDemand> demand(sharers);
+std::vector<AppDemand> random_demand(util::Xoshiro256& rng,
+                                     std::size_t sharers) {
+  std::vector<AppDemand> demand(sharers);
   for (auto& d : demand) {
-    d.stream_bytes_per_sec =
-        rng.bernoulli(0.3) ? 0.0 : log_uniform(rng, 1e3, 2e10);
+    d.stream = rng.bernoulli(0.3) ? 0.0 : log_uniform(rng, 1e3, 2e10);
     d.reuse.resize(rng.below(4));
-    for (auto& c : d.reuse) {
-      c.rate_bytes_per_sec = log_uniform(rng, 1e4, 5e10);
-      c.footprint_bytes = log_uniform(rng, 1e3, 2e9);
+    for (auto& [rate, footprint] : d.reuse) {
+      rate = log_uniform(rng, 1e4, 5e10);
+      footprint = log_uniform(rng, 1e3, 2e9);
     }
   }
   return demand;
@@ -480,6 +330,118 @@ std::vector<WayMask> random_layout(util::Xoshiro256& rng, std::size_t apps,
     }
   }
   return masks;
+}
+
+// `count` regions over `apps` apps, each with a log-uniform capacity and a
+// random non-empty ascending sharer set (regions may overlap).
+std::vector<CacheRegion> random_regions(util::Xoshiro256& rng,
+                                        std::size_t apps, std::size_t count) {
+  std::vector<CacheRegion> regions(count);
+  for (auto& r : regions) {
+    r.capacity_bytes = log_uniform(rng, kWayBytes, kWays * kWayBytes);
+    for (std::size_t a = 0; a < apps; ++a) {
+      if (rng.bernoulli(0.5)) r.sharers.push_back(a);
+    }
+    if (r.sharers.empty()) r.sharers.push_back(rng.below(apps));
+  }
+  return regions;
+}
+
+// --- scratch reuse ---------------------------------------------------------
+
+TEST(OccupancyScratchSolver, MatchesAllocatingSolverBitwise) {
+  std::vector<WayMask> masks = {WayMask::high(19, 20), WayMask::low(1),
+                                WayMask::low(1)};
+  const auto regions = decompose_regions(masks, 20, MB);
+  OccupancyScratch scratch;
+  // A sequence of changing demands through one reused scratch must be
+  // byte-identical to fresh allocating solves at every step.
+  for (int it = 0; it < 5; ++it) {
+    std::vector<AppDemand> demand = {
+        reuse_app((1.0 + 0.3 * it) * GBs, 5 * MB),
+        stream_app((2.0 + it) * GBs),
+        reuse_app(0.5 * GBs, (10.0 + it) * MB)};
+    expect_bitwise_equal(solve_with_scratch(regions, demand, scratch),
+                         solve_occupancy(regions, 3, demand));
+  }
+}
+
+TEST(OccupancyScratchSolver, RepeatSolveIsBitwiseEqual) {
+  std::vector<WayMask> masks(4, WayMask::full(20));
+  const auto regions = decompose_regions(masks, 20, MB);
+  const std::vector<AppDemand> demand = {
+      stream_app(2 * GBs), reuse_app(1 * GBs, 40 * MB),
+      reuse_app(0.5 * GBs, 10 * MB), stream_app(1 * GBs)};
+  OccupancyScratch scratch;
+  const auto first = solve_with_scratch(regions, demand, scratch);
+  // The repeat starts Newton from the first solve's T_c.
+  expect_bitwise_equal(solve_with_scratch(regions, demand, scratch), first);
+  // A one-ulp nudge of a single rate: the result has to match a fresh
+  // solve of the nudged demand, not the previous one.
+  auto nudged = demand;
+  nudged[1].reuse[0].first = std::nextafter(nudged[1].reuse[0].first, 2e18);
+  expect_bitwise_equal(solve_with_scratch(regions, nudged, scratch),
+                       solve_occupancy(regions, 4, nudged));
+}
+
+// The scratch has no invalidate(): a layout change with the same region
+// and app counts but other capacities is picked up on the next call.
+TEST(OccupancyScratchSolver, InvalidateTracksLayoutChange) {
+  OccupancyScratch scratch;
+  const std::vector<AppDemand> demand = {reuse_app(1 * GBs, 30 * MB),
+                                         stream_app(5 * GBs)};
+  const auto regions_a =
+      decompose_regions({WayMask::high(19, 20), WayMask::low(1)}, 20, MB);
+  const auto regions_b =
+      decompose_regions({WayMask::high(10, 20), WayMask::low(10)}, 20, MB);
+  expect_bitwise_equal(solve_with_scratch(regions_a, demand, scratch),
+                       solve_occupancy(regions_a, 2, demand), "19/1 split");
+  expect_bitwise_equal(solve_with_scratch(regions_b, demand, scratch),
+                       solve_occupancy(regions_b, 2, demand), "10/10 split");
+}
+
+TEST(OccupancyScratchSolver, ShapeChangeDetectedWithoutInvalidate) {
+  // Region-count and app-count changes through one scratch.
+  OccupancyScratch scratch;
+  const auto regions_one = decompose_regions({WayMask::full(20)}, 20, MB);
+  const auto regions_three = decompose_regions(
+      {WayMask::high(19, 20), WayMask::low(1), WayMask::low(1)}, 20, MB);
+  const std::vector<AppDemand> d1 = {stream_app(1 * GBs)};
+  const std::vector<AppDemand> d3 = {reuse_app(1 * GBs, 5 * MB),
+                                     stream_app(2 * GBs),
+                                     stream_app(3 * GBs)};
+  expect_bitwise_equal(solve_with_scratch(regions_one, d1, scratch),
+                       solve_occupancy(regions_one, 1, d1), "one region");
+  expect_bitwise_equal(solve_with_scratch(regions_three, d3, scratch),
+                       solve_occupancy(regions_three, 3, d3), "two regions");
+}
+
+// One scratch through layout changes, with nothing telling it the layout
+// moved: the capacity split is derived on every call, and the Newton start
+// it carries per region index may come from a region with other sharers
+// and another capacity. Every call must still equal a fresh solve bit for
+// bit.
+TEST(OccupancyScratchSolver, LayoutChangesMatchFreshSolveBitwise) {
+  OccupancyScratch scratch;
+  auto check = [&](const std::vector<CacheRegion>& regions,
+                   const std::vector<AppDemand>& demand,
+                   const std::string& what) {
+    expect_bitwise_equal(solve_with_scratch(regions, demand, scratch),
+                         solve_occupancy(regions, demand.size(), demand),
+                         what);
+  };
+  // Random layouts with three regions each; every demand is solved under
+  // several layouts in a row, so identical inputs meet a changed layout.
+  util::Xoshiro256 rng(31);
+  for (int it = 0; it < 200; ++it) {
+    const auto apps = static_cast<std::size_t>(1 + rng.below(10));
+    const auto demand = random_demand(rng, apps);
+    for (int layout = 0; layout < 3; ++layout) {
+      check(random_regions(rng, apps, 3), demand,
+            "case " + std::to_string(it) + " layout " +
+                std::to_string(layout));
+    }
+  }
 }
 
 TEST(OccupancyOracle, RandomDemandsMatchBitwise) {
@@ -535,12 +497,12 @@ TEST(OccupancyOracle, AdversarialCasesMatchBitwise) {
   // and a region that fills on footprints alone (slope 0 past the last
   // breakpoint).
   {
-    CacheDemand silent;
-    CacheDemand zero_rate;
+    AppDemand silent;
+    AppDemand zero_rate;
     zero_rate.reuse = {{0.0, 8 * MB}, {2 * GBs, 3 * MB}};
-    CacheDemand footprints;
+    AppDemand footprints;
     footprints.reuse = {{1 * GBs, 15 * MB}, {0.2 * GBs, 9 * MB}};
-    CacheDemand zero_stream;
+    AppDemand zero_stream;
     zero_stream.reuse = {{0.7 * GBs, 6 * MB}};
     expect_matches_oracle(one_region,
                           {silent, zero_rate, footprints, zero_stream},
@@ -552,13 +514,13 @@ TEST(OccupancyOracle, AdversarialCasesMatchBitwise) {
 
   // Equal F/r breakpoints: every component saturates at the same t.
   {
-    std::vector<CacheDemand> demand(4);
+    std::vector<AppDemand> demand(4);
     for (std::size_t a = 0; a < demand.size(); ++a) {
       const double k = static_cast<double>(a + 1);
       demand[a].reuse = {{k * GBs, k * 4 * MB}, {2 * k * GBs, k * 8 * MB}};
     }
     expect_matches_oracle(one_region, demand, reused, "equal breakpoints");
-    demand[3].stream_bytes_per_sec = 0.5 * GBs;
+    demand[3].stream = 0.5 * GBs;
     expect_matches_oracle(one_region, demand, reused,
                           "equal breakpoints + stream");
   }
@@ -594,9 +556,9 @@ TEST(OccupancyOracle, AdversarialCasesMatchBitwise) {
       expect_matches_oracle(lone, {stream_app(rate)}, reused,
                             "root at t_max, ulp " + std::to_string(u));
     }
-    CacheDemand d;
+    AppDemand d;
     d.reuse = {{cap, 0.5 * cap}};
-    d.stream_bytes_per_sec = 0.5 * cap / 1e3 * (1.0 + 1e-13);
+    d.stream = 0.5 * cap / 1e3 * (1.0 + 1e-13);
     expect_matches_oracle(lone, {d}, reused, "saturated + stream at t_max");
   }
 
@@ -607,24 +569,24 @@ TEST(OccupancyOracle, AdversarialCasesMatchBitwise) {
   {
     const std::vector<CacheRegion> lone = {region_of(cap, 1)};
     for (const double sliver : {1e-6, 1e-9, 1e-12}) {
-      CacheDemand d;
+      AppDemand d;
       d.reuse = {{40 * GBs, cap * (1.0 - sliver)}};
-      d.stream_bytes_per_sec = 1e-2 * sliver * cap;  // t_c = 100 s
+      d.stream = 1e-2 * sliver * cap;  // t_c = 100 s
       expect_matches_oracle(lone, {d}, reused,
                             "sliver " + std::to_string(sliver));
     }
-    CacheDemand stairs;
+    AppDemand stairs;
     double footprint = cap;
     for (int c = 0; c < 3; ++c) {
       footprint *= 0.5;
       stairs.reuse.push_back({footprint * std::pow(4.0, c), footprint});
     }
-    stairs.stream_bytes_per_sec = 1e-6 * cap;
-    std::vector<CacheDemand> staircase(4, stairs);
+    stairs.stream = 1e-6 * cap;
+    std::vector<AppDemand> staircase(4, stairs);
     for (std::size_t a = 0; a < staircase.size(); ++a) {
       for (auto& c : staircase[a].reuse) {
-        c.rate_bytes_per_sec *= std::pow(16.0, static_cast<double>(a));
-        c.footprint_bytes *= 0.25;
+        c.first *= std::pow(16.0, static_cast<double>(a));
+        c.second *= 0.25;
       }
     }
     expect_matches_oracle(one_region, staircase, reused, "staircase");
@@ -633,8 +595,8 @@ TEST(OccupancyOracle, AdversarialCasesMatchBitwise) {
   // Subnormal rates, footprints and capacities.
   {
     const double sub = std::numeric_limits<double>::denorm_min();
-    CacheDemand tiny;
-    tiny.stream_bytes_per_sec = sub;
+    AppDemand tiny;
+    tiny.stream = sub;
     tiny.reuse = {{1e-310, 1e-312}, {sub, sub}};
     expect_matches_oracle(one_region,
                           {tiny, stream_app(2 * GBs), tiny,
@@ -655,11 +617,11 @@ TEST(OccupancyOracle, NonMonotoneInputsMatchBitwise) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const double odd : {-1 * GBs, -0.0, inf, -inf, nan}) {
-    CacheDemand a = reuse_app(1 * GBs, 12 * MB);
-    a.stream_bytes_per_sec = odd;
-    CacheDemand b = reuse_app(odd, 30 * MB);
-    CacheDemand c = reuse_app(2 * GBs, odd);
-    const std::vector<CacheDemand> normal = {stream_app(3 * GBs),
+    AppDemand a = reuse_app(1 * GBs, 12 * MB);
+    a.stream = odd;
+    AppDemand b = reuse_app(odd, 30 * MB);
+    AppDemand c = reuse_app(2 * GBs, odd);
+    const std::vector<AppDemand> normal = {stream_app(3 * GBs),
                                              reuse_app(1 * GBs, 40 * MB),
                                              stream_app(0.5 * GBs)};
     for (std::size_t slot = 0; slot < 3; ++slot) {
@@ -677,8 +639,8 @@ TEST(OccupancyOracle, NonMonotoneInputsMatchBitwise) {
   // in floating point it crosses the capacity back and forth; only
   // evaluating every mid reproduces the oracle's walk.
   {
-    CacheDemand cancel;
-    cancel.stream_bytes_per_sec = 3.0 * (1.0 + 0x1p-40);
+    AppDemand cancel;
+    cancel.stream = 3.0 * (1.0 + 0x1p-40);
     cancel.reuse = {{-3.0, 1e300}};
     for (const double c : {0x1p-40 * 3.0, 0x1p-40 * 4.0, 1e-12}) {
       expect_matches_oracle({region_of(c, 1)}, {cancel}, reused,
@@ -705,8 +667,7 @@ TEST(OccupancyOracle, NonMonotoneInputsMatchBitwise) {
 
 // The machine's convergence tail: the fixed point re-solves with rates
 // that move by geometrically shrinking amounts, down to single ulps, all
-// through one scratch whose memo misses each time and whose Newton start
-// is the previous quantum's t_c.
+// through one scratch whose Newton start is the previous quantum's t_c.
 TEST(OccupancyOracle, DriftThroughReusedScratchMatchesBitwise) {
   util::Xoshiro256 rng(9);
   for (const int kind : {0, 1}) {
@@ -726,8 +687,8 @@ TEST(OccupancyOracle, DriftThroughReusedScratchMatchesBitwise) {
           const double next = x * (1.0 + sign * rel);
           x = next != x ? next : std::nextafter(x, sign * 1e300);
         };
-        nudge(d.stream_bytes_per_sec);
-        for (auto& c : d.reuse) nudge(c.rate_bytes_per_sec);
+        nudge(d.stream);
+        for (auto& c : d.reuse) nudge(c.first);
       }
       rel *= 0.5;
       const auto want = oracle_occ(regions, demand);

@@ -159,6 +159,31 @@ TEST(CliArgs, RejectUnknownAcceptsFullyConsumedLine) {
   EXPECT_NO_THROW(make({"prog"}).reject_unknown());
 }
 
+// --help lists the flags the front-end read (in key order) and is not an
+// unknown flag; cli_main_guard turns it into exit 0.
+TEST(CliArgs, HelpListsTheFlagsRead) {
+  const auto a = make({"fleet_sim", "--help"});
+  EXPECT_EQ(a.get_int("machines", 500), 500);
+  EXPECT_FALSE(a.has("compare"));
+  try {
+    a.reject_unknown();
+    FAIL() << "expected CliHelp";
+  } catch (const CliHelp& help) {
+    EXPECT_EQ(std::string(help.what()),
+              "usage: fleet_sim [flags]\nflags:\n  --compare\n  --machines");
+  }
+  EXPECT_EQ(cli_main_guard("fleet_sim",
+                           [&] {
+                             a.reject_unknown();
+                             return 3;
+                           }),
+            0);
+  // A program that reads --help itself handles it.
+  const auto own = make({"prog", "--help"});
+  EXPECT_TRUE(own.has("help"));
+  EXPECT_NO_THROW(own.reject_unknown());
+}
+
 TEST(CliMainGuard, TranslatesCliErrorToExitTwo) {
   const int rc = cli_main_guard(
       "prog", []() -> int { throw CliError("invalid value for --x"); });
