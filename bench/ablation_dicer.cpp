@@ -50,7 +50,7 @@ static int run(int argc, char** argv) {
   // --stats appends the remaining DicerStats counters as extra columns;
   // the default layout (and the committed CSV schema) stays unchanged.
   const bool full_stats = env.args.get_bool("stats", false);
-  env.args.reject_unknown();
+  env.reject_unknown();
   bench::print_header("Ablation: DICER variants (120 workloads, 10 cores)");
 
   harness::ConsolidationConfig config;

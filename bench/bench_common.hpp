@@ -20,8 +20,10 @@
 //                      stages, per-consolidation cost) to stderr on exit
 //
 // Each bench reads its own flags from env.args, then calls
-// env.args.reject_unknown() before simulating anything, so a misspelled or
+// env.reject_unknown() before simulating anything, so a misspelled or
 // unsupported flag exits 2 with "unknown flag --X" instead of being ignored.
+// Only then does BenchEnv create --cache-dir and attach the --trace sink,
+// so a failing or --help command line leaves nothing behind.
 #pragma once
 
 #include <cstdlib>
@@ -54,7 +56,6 @@ struct BenchEnv {
 
   explicit BenchEnv(int argc, char** argv) : args(argc, argv) {
     cache_dir = args.get_or("cache-dir", harness::default_cache_dir());
-    std::filesystem::create_directories(cache_dir);
     recompute = args.get_bool("recompute", false);
     jobs = util::jobs_flag(args);
     profile = args.get_bool("profile", false);
@@ -63,6 +64,13 @@ struct BenchEnv {
     if (trace_path.empty()) {
       if (const char* env = std::getenv("DICER_TRACE")) trace_path = env;
     }
+  }
+
+  /// args.reject_unknown(), then the side effects the flags ask for:
+  /// create the cache directory and attach the trace sink.
+  void reject_unknown() {
+    args.reject_unknown();
+    std::filesystem::create_directories(cache_dir);
     if (!trace_path.empty()) {
       trace_sink = trace::make_file_sink(trace_path);
       trace::Tracer::global().add_sink(trace_sink);

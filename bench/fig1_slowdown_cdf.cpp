@@ -11,7 +11,7 @@
 static int run(int argc, char** argv) {
   using namespace dicer;
   bench::BenchEnv env(argc, argv);
-  env.args.reject_unknown();
+  env.reject_unknown();
   bench::print_header("Figure 1: CDF of HP slowdown with 9 BEs (UM vs CT)");
 
   harness::ConsolidationConfig config;

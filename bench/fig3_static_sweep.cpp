@@ -17,7 +17,7 @@ static int run(int argc, char** argv) {
   bench::BenchEnv env(argc, argv);
   const std::string hp_name = env.args.get_or("hp", "milc1");
   const std::string be_name = env.args.get_or("be", "gcc_base3");
-  env.args.reject_unknown();
+  env.reject_unknown();
   bench::print_header("Figure 3: static LLC sweeps for " + hp_name +
                       " (HP) + 9x " + be_name + " (BEs)");
 

@@ -15,7 +15,7 @@
 static int run(int argc, char** argv) {
   using namespace dicer;
   bench::BenchEnv env(argc, argv);
-  env.args.reject_unknown();
+  env.reject_unknown();
   bench::print_header("Figure 7: HP SLO conformance vs employed cores");
 
   harness::ConsolidationConfig config;

@@ -8,7 +8,7 @@
 static int run(int argc, char** argv) {
   using namespace dicer;
   bench::BenchEnv env(argc, argv);
-  env.args.reject_unknown();
+  env.reject_unknown();
   bench::print_header("Table 1: System configuration");
 
   const sim::MachineConfig mc;

@@ -55,7 +55,7 @@ static int run(int argc, char** argv) {
       static_cast<unsigned>(std::clamp(env.args.get_int("cores", 10), 2L, 10L));
   const double seconds = env.args.get_double("seconds", 40.0);
   const bool quanta = env.args.get_bool("quanta", false);
-  env.args.reject_unknown();
+  env.reject_unknown();
   bench::print_header("Timeline: DICER per-period controller narrative");
 
   auto& tracer = trace::Tracer::global();

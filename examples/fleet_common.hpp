@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "fleet/cluster.hpp"
@@ -28,7 +29,9 @@ namespace dicer::examples {
 
 /// The fleet-shape flags shared by every fleet front-end. Defaults match
 /// fleet_sim's documented ones; callers override per-binary defaults by
-/// passing them through `args`.
+/// passing them through `args`. A value FleetConfig::validate() rejects
+/// (`--slo -1`, `--epoch inf`, `--machines 0`, ...) throws CliError, like
+/// every other bad flag value.
 inline fleet::FleetConfig fleet_config_from(const util::CliArgs& args) {
   fleet::FleetConfig fc;
   fc.num_machines = util::count_flag(args, "machines", 500u);
@@ -55,36 +58,50 @@ inline fleet::FleetConfig fleet_config_from(const util::CliArgs& args) {
   fc.churn.arrival_rate_per_sec = args.get_double("arrival-rate", 40.0);
   fc.churn.mean_lifetime_sec = args.get_double("mean-lifetime", 8.0);
   fc.churn.seed = fc.seed + 1;
+  try {
+    fc.validate();
+  } catch (const std::invalid_argument& e) {
+    throw util::CliError(std::string("invalid fleet flags: ") + e.what());
+  }
   return fc;
 }
 
-/// The app catalog behind --catalog default|trace (throws CliError on
-/// anything else).
-inline sim::AppCatalog catalog_from(const util::CliArgs& args) {
+/// Whether --catalog asks for the trace-augmented catalog (default|trace;
+/// throws CliError on anything else). Building that catalog profiles
+/// every trace app, so front-ends build it only once reject_unknown() has
+/// passed.
+inline bool trace_catalog_flag(const util::CliArgs& args) {
   const std::string name = args.get_or("catalog", "default");
   if (name != "default" && name != "trace") {
     throw util::CliError("invalid value for --catalog: '" + name +
                          "' (expected default or trace)");
   }
-  return name == "trace" ? sim::trace_augmented_catalog()
-                         : sim::AppCatalog();
+  return name == "trace";
 }
 
-/// RAII for the observability flags: applies --log-level, attaches a
-/// --trace/DICER_TRACE file sink to the global tracer, and prints the
-/// scoped-timer profile on destruction under --profile.
+/// RAII for the observability flags: applies --log-level, and — once
+/// reject_unknown() has passed — attaches a --trace/DICER_TRACE file sink
+/// to the global tracer; prints the scoped-timer profile on destruction
+/// under --profile.
 struct FleetEnv {
+  const util::CliArgs& args;  ///< the front-end's flags; outlive the env
   bool profile = false;
   std::shared_ptr<trace::Sink> trace_sink;
   std::string trace_path;
 
-  explicit FleetEnv(const util::CliArgs& args) {
+  explicit FleetEnv(const util::CliArgs& cli_args) : args(cli_args) {
     profile = args.get_bool("profile", false);
     util::apply_log_level_flag(args);
     trace_path = args.get_or("trace", "");
     if (trace_path.empty()) {
       if (const char* env = std::getenv("DICER_TRACE")) trace_path = env;
     }
+  }
+
+  /// args.reject_unknown(), then the side effects the flags ask for: no
+  /// file is created for a command line that fails or asks for --help.
+  void reject_unknown() {
+    args.reject_unknown();
     if (!trace_path.empty()) {
       trace_sink = trace::make_file_sink(trace_path);
       trace::Tracer::global().add_sink(trace_sink);

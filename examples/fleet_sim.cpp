@@ -52,11 +52,13 @@ static int run(int argc, char** argv) {
   const std::string metrics_path = args.get_or("metrics-out", "");
   const std::string jsonl_path = args.get_or("metrics-jsonl", "");
 
-  const sim::AppCatalog catalog = examples::catalog_from(args);
+  const bool trace_catalog = examples::trace_catalog_flag(args);
   examples::FleetEnv env(args);
   fleet::FleetConfig fc = examples::fleet_config_from(args);
   const bool compare = args.get_bool("compare", false);
-  args.reject_unknown();
+  env.reject_unknown();
+  const sim::AppCatalog catalog =
+      trace_catalog ? sim::trace_augmented_catalog() : sim::AppCatalog();
 
   if (compare) {
     // Same churn + same fleet, one run per engine: the placement engine is

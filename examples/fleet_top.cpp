@@ -37,7 +37,7 @@ static int run(int argc, char** argv) {
   const auto epochs = util::count_flag<std::uint64_t>(args, "epochs", 30);
   const auto refresh_ms = args.get_int("refresh-ms", 0);
 
-  const sim::AppCatalog catalog = examples::catalog_from(args);
+  const bool trace_catalog = examples::trace_catalog_flag(args);
   examples::FleetEnv env(args);
   fleet::FleetConfig fc = examples::fleet_config_from(args);
 
@@ -50,7 +50,9 @@ static int run(int argc, char** argv) {
   dc.burn_alert = args.get_double("burn-alert", 2.0);
   const bool plain = args.get_bool("plain", false);
   dc.ansi = tty && !plain;
-  args.reject_unknown();
+  env.reject_unknown();
+  const sim::AppCatalog catalog =
+      trace_catalog ? sim::trace_augmented_catalog() : sim::AppCatalog();
 
   fleet::Cluster cluster(fc, catalog);
   fleet::Dashboard dash(dc);

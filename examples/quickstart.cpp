@@ -7,8 +7,9 @@
 //
 // --trace-apps augments the catalog with the trace-derived apps
 // (trace_stream1, trace_wset1, trace_bimodal1, trace_mix1): each is
-// profiled from its address stream with the single-pass sampled MRC
-// profiler, so they are usable as --hp/--be like any analytic app.
+// profiled from its address stream by the single-pass MRC profiler
+// (`sim::profile_mrc`, sampling a quarter of the cache sets), so they are
+// usable as --hp/--be like any analytic app.
 // --profile-cache persists the profiled curves across runs; --profile
 // prints the scoped-timer/counter table (incl. the profiler.* group)
 // to stderr on exit.

@@ -45,7 +45,6 @@ DEFAULT_BENCHES = [
     "BM_MachineRunFor",
     # The single-worker policy sweep: one run_consolidation per cell.
     "BM_SweepBatched/real_time",
-    "BM_ProfileMrcExact",
     "BM_ProfileMrcSinglePass",
     "BM_ProfileMrcSampled",
     # The single-worker fleet epoch (control plane + data plane + ordered

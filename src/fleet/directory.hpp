@@ -6,12 +6,12 @@
 // ipc-vs-ways table (solo steady state, the closed-form evaluator — a few
 // microseconds per point) plus the footprint/bandwidth scalars the best-fit
 // scorer combines. For trace-derived apps the underlying curves come from
-// the single-pass sampled reuse-distance profiler
-// (`MrcProfilerMode::kSampled`, ~0.9 ms/app, see sim/core/trace_apps.hpp),
-// so a fleet over `trace_augmented_catalog()` places straight off sampled
-// MRC profiles; the analytic catalog apps evaluate their calibrated MRCs
-// directly. Built once per fleet, immutable afterwards, shared read-only
-// across stepping shards.
+// the single-pass reuse-distance profiler sampling a quarter of the sets
+// (`sim::profile_mrc`, see sim/core/trace_apps.hpp), so a fleet over
+// `trace_augmented_catalog()` places straight off sampled MRC profiles;
+// the analytic catalog apps evaluate their calibrated MRCs directly.
+// Built once per fleet, immutable afterwards, shared read-only across
+// stepping shards.
 #pragma once
 
 #include <map>

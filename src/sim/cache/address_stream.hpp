@@ -4,7 +4,7 @@
 // these streams exist to *validate* that model: a working-set stream of W
 // bytes should show the same knee at W that the hill-curve MRC encodes, and
 // a streaming pattern should miss regardless of allocation. They also feed
-// the MRC profiler (mrc_profiler.hpp).
+// the MRC profiler (reuse_profiler.hpp).
 #pragma once
 
 #include <cstdint>

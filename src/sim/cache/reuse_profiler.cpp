@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
+
+#include "util/timer.hpp"
 
 namespace dicer::sim {
 
@@ -11,9 +14,12 @@ namespace {
 
 constexpr double kTwoPow64 = 18446744073709551616.0;
 
+/// Seed of the spatial set hash: same seed -> same sample.
+constexpr std::uint64_t kSampleSeed = 0x5348415244ULL;
+
 /// SplitMix64 finalizer: the spatial hash behind SHARDS sampling. The
-/// sample is a pure function of (seed, set/block id) — never of access
-/// order — which is what makes hash sampling unbiased for reuse.
+/// sample is a pure function of the set id — never of access order —
+/// which is what makes hash sampling unbiased for reuse.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -21,8 +27,8 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::uint64_t spatial_hash(std::uint64_t seed, std::uint64_t id) {
-  return mix64(seed ^ mix64(id));
+std::uint64_t set_hash(std::uint64_t set) {
+  return mix64(kSampleSeed ^ mix64(set));
 }
 
 std::uint64_t rate_threshold(double rate) {
@@ -31,23 +37,11 @@ std::uint64_t rate_threshold(double rate) {
                                    : static_cast<std::uint64_t>(scaled);
 }
 
-void validate_sampling(const ShardsConfig& sampling) {
-  if (sampling.mode == ShardsMode::kFixedRate &&
-      !(sampling.rate > 0.0 && sampling.rate <= 1.0)) {
-    throw std::invalid_argument("ShardsConfig: rate must be in (0, 1]");
-  }
-  if (sampling.mode == ShardsMode::kFixedSize &&
-      sampling.max_tracked_blocks == 0) {
-    throw std::invalid_argument(
-        "ShardsConfig: max_tracked_blocks must be >= 1");
-  }
-}
-
 }  // namespace
 
 ReuseProfiler::ReuseProfiler(const CacheGeometry& geometry,
-                             const ShardsConfig& sampling)
-    : geom_(geometry), sampling_(sampling) {
+                             double sampling_rate)
+    : geom_(geometry) {
   if (geom_.ways == 0 || geom_.ways > kMaxWays) {
     throw std::invalid_argument("ReuseProfiler: unsupported way count");
   }
@@ -59,218 +53,96 @@ ReuseProfiler::ReuseProfiler(const CacheGeometry& geometry,
     throw std::invalid_argument(
         "ReuseProfiler: set count must be a power of two > 0");
   }
-  validate_sampling(sampling_);
+  if (!(sampling_rate > 0.0 && sampling_rate <= 1.0)) {
+    throw std::invalid_argument(
+        "ReuseProfiler: sampling rate must be in (0, 1]");
+  }
   set_mask_ = sets - 1;
-  set_bits_ = static_cast<unsigned>(std::popcount(set_mask_));
   line_shift_ = static_cast<unsigned>(std::countr_zero(geom_.line_bytes));
   ways_ = geom_.ways;
 
-  set_hash_.resize(sets);
+  // Each sampled set gets a stack slot up front. At rate 1 that is every
+  // set; below it, the sets hashing under the rate threshold, or — however
+  // small the rate — at least the set with the smallest hash.
+  const std::uint64_t threshold = rate_threshold(sampling_rate);
+  set_slot_.assign(sets, kUnsampled);
+  std::uint64_t min_hash = ~0ull;
+  std::uint64_t argmin = 0;
   for (std::uint64_t s = 0; s < sets; ++s) {
-    set_hash_[s] = spatial_hash(sampling_.seed, s);
-  }
-  set_slot_.assign(sets, kUntouched);
-
-  switch (sampling_.mode) {
-    case ShardsMode::kOff:
-      threshold_ = ~0ull;  // unused: eligible() short-circuits on kOff
-      break;
-    case ShardsMode::kFixedRate: {
-      threshold_ = rate_threshold(sampling_.rate);
-      // Guarantee at least one sampled set, however small the rate: force
-      // the set with the smallest hash into the sample.
-      std::uint64_t min_hash = ~0ull;
-      std::uint64_t argmin = 0;
-      bool any = false;
-      for (std::uint64_t s = 0; s < sets; ++s) {
-        if (set_hash_[s] < threshold_) {
-          any = true;
-          break;
-        }
-        if (set_hash_[s] < min_hash) {
-          min_hash = set_hash_[s];
-          argmin = s;
-        }
-      }
-      if (!any) forced_set_ = static_cast<std::int64_t>(argmin);
-      break;
+    const std::uint64_t h = set_hash(s);
+    if (sampling_rate >= 1.0 || h < threshold) {
+      set_slot_[s] = static_cast<std::int32_t>(sampled_sets_++);
     }
-    case ShardsMode::kFixedSize:
-      threshold_ = ~0ull;  // start exact; evictions lower it adaptively
-      break;
+    if (h < min_hash) {
+      min_hash = h;
+      argmin = s;
+    }
   }
-}
-
-bool ReuseProfiler::eligible(std::uint64_t set) const {
-  if (sampling_.mode == ShardsMode::kOff) return true;
-  return set_hash_[set] < threshold_ ||
-         static_cast<std::int64_t>(set) == forced_set_;
-}
-
-std::int32_t ReuseProfiler::touch_set(std::uint64_t set) {
-  if (!eligible(set)) {
-    // Threshold only ever drops, so this verdict can be cached for good.
-    set_slot_[set] = kUnsampled;
-    return kUnsampled;
-  }
-  std::int32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    depth_[static_cast<std::size_t>(slot)] = 0;
-    std::fill_n(hist_.begin() + static_cast<std::size_t>(slot) * (ways_ + 1),
-                ways_ + 1, std::uint64_t{0});
-  } else {
-    slot = static_cast<std::int32_t>(depth_.size());
-    depth_.push_back(0);
-    stack_.resize(stack_.size() + ways_);
-    hist_.resize(hist_.size() + ways_ + 1, 0);
-    slot_set_.push_back(set);
-  }
-  slot_set_[static_cast<std::size_t>(slot)] = set;
-  set_slot_[set] = slot;
-  if (sampling_.mode == ShardsMode::kFixedSize) {
-    by_hash_.emplace(set_hash_[set], set);
-  }
-  return slot;
-}
-
-void ReuseProfiler::evict_largest_hash() {
-  const auto [hash, set] = by_hash_.top();
-  by_hash_.pop();
-  // SHARDS eviction rule: the evicted member's hash becomes the new
-  // threshold, so every set that would hash at or above it is out of the
-  // sample from now on — the survivors are exactly a lower-rate sample.
-  threshold_ = hash;
-  const std::int32_t slot = set_slot_[set];
-  tracked_blocks_ -= depth_[static_cast<std::size_t>(slot)];
-  set_slot_[set] = kEvicted;
-  free_slots_.push_back(slot);
-  ++evicted_sets_;
+  if (sampled_sets_ == 0) set_slot_[argmin] = static_cast<std::int32_t>(sampled_sets_++);
+  stack_.assign(sampled_sets_ * ways_, 0);
+  depth_.assign(sampled_sets_, 0);
+  hist_.assign(ways_ + 1, 0);
 }
 
 void ReuseProfiler::access(std::uint64_t address) {
   ++accesses_;
   if (measuring_) ++measured_;
   const std::uint64_t block = address >> line_shift_;
-  const std::uint64_t set = block & set_mask_;
-  std::int32_t slot = set_slot_[set];
-  if (slot < 0) {
-    if (slot != kUntouched) return;  // kUnsampled / kEvicted
-    slot = touch_set(set);
-    if (slot < 0) return;
-  }
+  const std::int32_t slot = set_slot_[block & set_mask_];
+  if (slot == kUnsampled) return;
   std::uint64_t* st = stack_.data() + static_cast<std::size_t>(slot) * ways_;
-  const unsigned depth = depth_[static_cast<std::size_t>(slot)];
+  std::uint8_t& depth = depth_[static_cast<std::size_t>(slot)];
   unsigned d = 0;
   while (d < depth && st[d] != block) ++d;
-  if (d < depth) {
-    // Hit at per-set stack distance d: hits every partition of > d ways.
-    for (unsigned i = d; i > 0; --i) st[i] = st[i - 1];
-    st[0] = block;
-    if (measuring_) {
-      ++hist_[static_cast<std::size_t>(slot) * (ways_ + 1) + d];
+  // A hit at per-set stack distance d hits every partition of > d ways; a
+  // cold block (or one fallen off the ways_-deep stack) misses at every
+  // way count.
+  if (measuring_) ++hist_[d < depth ? d : ways_];
+  if (d == depth) {
+    if (depth < ways_) {
+      ++depth;
+      ++tracked_blocks_;
     }
-    return;
+    d = depth - 1u;  // a full stack drops its LRU block
   }
-  // Cold (or fallen off the ways_-deep stack): a miss at every way count.
-  if (measuring_) {
-    ++hist_[static_cast<std::size_t>(slot) * (ways_ + 1) + ways_];
-  }
-  unsigned shift = depth;
-  if (depth == ways_) {
-    shift = ways_ - 1;  // the LRU block falls off the tracked stack
-  } else {
-    depth_[static_cast<std::size_t>(slot)] =
-        static_cast<std::uint8_t>(depth + 1);
-    ++tracked_blocks_;
-  }
-  for (unsigned i = shift; i > 0; --i) st[i] = st[i - 1];
+  for (unsigned i = d; i > 0; --i) st[i] = st[i - 1];
   st[0] = block;
-  if (sampling_.mode == ShardsMode::kFixedSize) {
-    while (tracked_blocks_ > sampling_.max_tracked_blocks &&
-           by_hash_.size() > 1) {
-      evict_largest_hash();
-    }
-  }
 }
 
-void ReuseProfiler::raw_histogram(std::vector<std::uint64_t>& hist,
-                                  std::uint64_t& total) const {
-  hist.assign(ways_ + 1, 0);
-  total = 0;
-  const std::size_t slots = depth_.size();
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    if (set_slot_[slot_set_[slot]] != static_cast<std::int32_t>(slot)) {
-      continue;  // freed slot (its set was evicted)
-    }
-    const std::uint64_t* h = hist_.data() + slot * (ways_ + 1);
-    for (unsigned d = 0; d <= ways_; ++d) {
-      hist[d] += h[d];
-      total += h[d];
-    }
-  }
+std::uint64_t ReuseProfiler::sampled_accesses() const {
+  return std::accumulate(hist_.begin(), hist_.end(), std::uint64_t{0});
 }
 
-double ReuseProfiler::final_rate() const {
-  if (sampling_.mode == ShardsMode::kOff) return 1.0;
-  const std::uint64_t sets = set_mask_ + 1;
-  std::uint64_t count = 0;
-  for (std::uint64_t s = 0; s < sets; ++s) {
-    const std::int32_t slot = set_slot_[s];
-    if (slot >= 0 || (slot == kUntouched && eligible(s))) ++count;
-  }
-  return static_cast<double>(count) / static_cast<double>(sets);
+double ReuseProfiler::sample_rate() const {
+  return static_cast<double>(sampled_sets_) /
+         static_cast<double>(set_mask_ + 1);
 }
 
 std::vector<double> ReuseProfiler::histogram() const {
-  std::vector<std::uint64_t> raw;
-  std::uint64_t total = 0;
-  raw_histogram(raw, total);
-  std::vector<double> out(raw.begin(), raw.end());
-  if (sampling_.mode != ShardsMode::kOff && sampling_.count_correction) {
-    const double expected =
-        static_cast<double>(measured_) * final_rate();
-    const double diff = expected - static_cast<double>(total);
-    out[0] = std::max(out[0] + diff, 0.0);
-  }
+  std::vector<double> out(hist_.begin(), hist_.end());
+  // SHARDS-adj: the shortfall between the expected and the actual sampled
+  // references counts as distance-0 hits. At rate 1 it is exactly zero.
+  const double expected = static_cast<double>(measured_) * sample_rate();
+  const double diff = expected - static_cast<double>(sampled_accesses());
+  out[0] = std::max(out[0] + diff, 0.0);
   return out;
 }
 
 EmpiricalMrc ReuseProfiler::mrc() const {
-  std::vector<std::pair<double, double>> points;
-  points.reserve(ways_);
-  const double way_bytes = static_cast<double>(geom_.way_bytes());
-
-  if (sampling_.mode == ShardsMode::kOff) {
-    // Unsampled: integer counts cover every measured access, so each
-    // point reproduces the exact replay oracle bit for bit — same uint64
-    // miss count, same single double division.
-    std::vector<std::uint64_t> hist;
-    std::uint64_t total = 0;
-    raw_histogram(hist, total);
-    std::uint64_t hits = 0;
-    for (unsigned w = 1; w <= ways_; ++w) {
-      hits += hist[w - 1];
-      const std::uint64_t misses = measured_ - hits;
-      const double ratio = measured_ ? static_cast<double>(misses) /
-                                           static_cast<double>(measured_)
-                                     : 0.0;
-      points.emplace_back(way_bytes * w, ratio);
-    }
-    return EmpiricalMrc(std::move(points));
-  }
-
+  // At rate 1 every bucket is an integer count below 2^53 and they sum to
+  // `measured_`, so each ratio is the same single misses/accesses division
+  // the exact replay makes, bit for bit.
   const std::vector<double> hist = histogram();
   double total = 0.0;
   for (double h : hist) total += h;
+  std::vector<std::pair<double, double>> points;
+  points.reserve(ways_);
+  const double way_bytes = static_cast<double>(geom_.way_bytes());
   double hits = 0.0;
   for (unsigned w = 1; w <= ways_; ++w) {
     hits += hist[w - 1];
-    double ratio = 1.0;
-    if (total > 0.0) {
-      ratio = std::clamp((total - hits) / total, 0.0, 1.0);
-    }
+    const double ratio =
+        total > 0.0 ? std::clamp((total - hits) / total, 0.0, 1.0) : 0.0;
     points.emplace_back(way_bytes * w, ratio);
   }
   return EmpiricalMrc(std::move(points));
@@ -280,185 +152,39 @@ ReuseProfilerStats ReuseProfiler::stats() const {
   ReuseProfilerStats st;
   st.accesses = accesses_;
   st.measured = measured_;
-  std::vector<std::uint64_t> hist;
-  raw_histogram(hist, st.sampled);
+  st.sampled = sampled_accesses();
   st.distinct_blocks = tracked_blocks_;
   st.sets = set_mask_ + 1;
-  st.sample_rate = final_rate();
-  st.sampled_sets = static_cast<std::uint64_t>(
-      st.sample_rate * static_cast<double>(st.sets) + 0.5);
-  st.evicted_sets = evicted_sets_;
-  if (sampling_.mode != ShardsMode::kOff && sampling_.count_correction) {
-    const double expected =
-        static_cast<double>(st.measured) * st.sample_rate;
-    const double raw0 = static_cast<double>(hist.empty() ? 0 : hist[0]);
-    const double corrected0 =
-        std::max(raw0 + (expected - static_cast<double>(st.sampled)), 0.0);
-    st.correction = corrected0 - raw0;
-  }
+  st.sampled_sets = sampled_sets_;
+  st.sample_rate = sample_rate();
+  st.correction = histogram()[0] - static_cast<double>(hist_[0]);
   return st;
 }
 
-// ---------------------------------------------------------------------------
-// FullyAssociativeProfiler
-// ---------------------------------------------------------------------------
-
-FullyAssociativeProfiler::FullyAssociativeProfiler(
-    unsigned line_bytes, std::vector<double> capacities_bytes,
-    const ShardsConfig& sampling)
-    : capacities_bytes_(std::move(capacities_bytes)), sampling_(sampling) {
-  if (line_bytes == 0 || !std::has_single_bit(line_bytes)) {
-    throw std::invalid_argument(
-        "FullyAssociativeProfiler: line size must be 2^k > 0");
+EmpiricalMrc profile_mrc(const MrcProfilerConfig& config,
+                         AddressStream& stream) {
+  trace::ScopedTimer timer("mrc.profile");
+  ReuseProfiler profiler(config.geometry, config.sampling_rate);
+  for (std::uint64_t i = 0; i < config.warmup_accesses; ++i) {
+    profiler.access(stream.next());
   }
-  if (capacities_bytes_.empty()) {
-    throw std::invalid_argument(
-        "FullyAssociativeProfiler: capacity grid is empty");
+  profiler.begin_measurement();
+  for (std::uint64_t i = 0; i < config.measure_accesses; ++i) {
+    profiler.access(stream.next());
   }
-  for (std::size_t i = 0; i < capacities_bytes_.size(); ++i) {
-    if (!(capacities_bytes_[i] > 0.0) ||
-        (i > 0 && capacities_bytes_[i] < capacities_bytes_[i - 1])) {
-      throw std::invalid_argument(
-          "FullyAssociativeProfiler: capacity grid must be ascending > 0");
-    }
-  }
-  validate_sampling(sampling_);
-  line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes));
-  capacities_blocks_.reserve(capacities_bytes_.size());
-  for (double c : capacities_bytes_) {
-    capacities_blocks_.push_back(c / static_cast<double>(line_bytes));
-  }
-  bucket_.assign(capacities_blocks_.size() + 1, 0.0);
-  threshold_ = sampling_.mode == ShardsMode::kFixedRate
-                   ? rate_threshold(sampling_.rate)
-                   : ~0ull;
-  marker_.assign(1, 0);  // position 0 is the Fenwick dummy
-  tree_.assign(1, 0);
-}
-
-double FullyAssociativeProfiler::sample_rate() const noexcept {
-  if (sampling_.mode == ShardsMode::kOff) return 1.0;
-  return static_cast<double>(threshold_) / kTwoPow64;
-}
-
-void FullyAssociativeProfiler::fenwick_add(std::size_t pos,
-                                           std::int64_t delta) {
-  for (; pos < tree_.size(); pos += pos & (~pos + 1)) {
-    tree_[pos] = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(tree_[pos]) + delta);
-  }
-}
-
-std::uint64_t FullyAssociativeProfiler::fenwick_prefix(
-    std::size_t pos) const {
-  std::uint64_t sum = 0;
-  for (; pos > 0; pos -= pos & (~pos + 1)) sum += tree_[pos];
-  return sum;
-}
-
-void FullyAssociativeProfiler::grow_tree() {
-  tree_.assign(std::max<std::size_t>(2 * tree_.size(), 1024), 0);
-  // O(n) Fenwick rebuild from the marker bitmap.
-  const std::size_t n = std::min(marker_.size(), tree_.size());
-  for (std::size_t i = 1; i < n; ++i) {
-    tree_[i] += marker_[i];
-    const std::size_t j = i + (i & (~i + 1));
-    if (j < tree_.size()) tree_[j] += tree_[i];
-  }
-}
-
-void FullyAssociativeProfiler::record(double distance_blocks, double weight) {
-  const std::size_t idx = static_cast<std::size_t>(
-      std::upper_bound(capacities_blocks_.begin(), capacities_blocks_.end(),
-                       distance_blocks) -
-      capacities_blocks_.begin());
-  bucket_[idx] += weight;
-  total_weight_ += weight;
-}
-
-void FullyAssociativeProfiler::evict_largest_hash() {
-  const auto [hash, block] = by_hash_.top();
-  by_hash_.pop();
-  threshold_ = hash;
-  const auto it = last_time_.find(block);
-  fenwick_add(it->second, -1);
-  marker_[it->second] = 0;
-  last_time_.erase(it);
-}
-
-void FullyAssociativeProfiler::access(std::uint64_t address) {
-  ++accesses_;
-  if (measuring_) ++measured_;
-  const std::uint64_t block = address >> line_shift_;
-  if (sampling_.mode != ShardsMode::kOff &&
-      spatial_hash(sampling_.seed, block) >= threshold_) {
-    return;
-  }
-  const double rate = sample_rate();
-  ++clock_;
-  // The new marker is set only alongside its fenwick_add below, so a
-  // grow_tree() rebuild in between cannot double-count it.
-  marker_.push_back(0);
-  if (clock_ >= tree_.size()) grow_tree();
-
-  const auto it = last_time_.find(block);
-  if (it != last_time_.end()) {
-    // Distinct sampled blocks touched strictly after the previous access:
-    // every such block's last-access marker sits after t_old, and the
-    // block's own marker sits at t_old.
-    const std::uint64_t newer = static_cast<std::uint64_t>(
-        last_time_.size() - fenwick_prefix(it->second));
-    if (measuring_) {
-      ++sampled_;
-      record(static_cast<double>(newer) / rate, 1.0 / rate);
-    }
-    fenwick_add(it->second, -1);
-    marker_[it->second] = 0;
-    it->second = clock_;
-    fenwick_add(clock_, +1);
-    marker_[clock_] = 1;
-    return;
-  }
-  if (measuring_) {
-    ++sampled_;
-    cold_weight_ += 1.0 / rate;  // compulsory: a miss at every capacity
-    total_weight_ += 1.0 / rate;
-  }
-  last_time_.emplace(block, clock_);
-  fenwick_add(clock_, +1);
-  marker_[clock_] = 1;
-  if (sampling_.mode == ShardsMode::kFixedSize) {
-    by_hash_.emplace(spatial_hash(sampling_.seed, block), block);
-    while (last_time_.size() > sampling_.max_tracked_blocks &&
-           last_time_.size() > 1) {
-      evict_largest_hash();
-    }
-  }
-}
-
-EmpiricalMrc FullyAssociativeProfiler::mrc() const {
-  std::vector<double> bucket = bucket_;
-  double total = total_weight_;
-  if (sampling_.mode != ShardsMode::kOff && sampling_.count_correction) {
-    // SHARDS-adj: the shortfall between the expected and the actual
-    // (rate-scaled) sampled mass is treated as shortest-distance hits.
-    const double diff = static_cast<double>(measured_) - total;
-    const double corrected0 = std::max(bucket[0] + diff, 0.0);
-    total += corrected0 - bucket[0];
-    bucket[0] = corrected0;
-  }
-  std::vector<std::pair<double, double>> points;
-  points.reserve(capacities_bytes_.size());
-  // miss(c_k) = mass at distances >= c_k, i.e. buckets k+1.. plus cold.
-  double tail = cold_weight_;
-  for (std::size_t j = bucket.size(); j-- > 1;) tail += bucket[j];
-  for (std::size_t k = 0; k < capacities_bytes_.size(); ++k) {
-    double ratio = 1.0;
-    if (total > 0.0) ratio = std::clamp(tail / total, 0.0, 1.0);
-    points.emplace_back(capacities_bytes_[k], ratio);
-    tail -= bucket[k + 1];
-  }
-  return EmpiricalMrc(std::move(points));
+  const ReuseProfilerStats st = profiler.stats();
+  auto& reg = trace::TimerRegistry::global();
+  reg.add_count("profiler.runs", 1);
+  reg.add_count("profiler.accesses", st.accesses);
+  reg.add_count("profiler.sampled_accesses", st.sampled);
+  reg.add_count("profiler.distinct_blocks", st.distinct_blocks);
+  reg.add_count("profiler.sets", st.sets);
+  reg.add_count("profiler.sampled_sets", st.sampled_sets);
+  // Parts-per-million, summed over runs; divide by profiler.runs for the
+  // mean rate.
+  reg.add_count("profiler.sample_rate_ppm",
+                static_cast<std::uint64_t>(st.sample_rate * 1e6 + 0.5));
+  return profiler.mrc();
 }
 
 }  // namespace dicer::sim

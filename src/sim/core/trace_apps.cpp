@@ -18,7 +18,7 @@ namespace {
 std::string profile_key(const std::vector<TraceAppSpec>& specs,
                         const MrcProfilerConfig& config) {
   // Versioned key over everything that shapes the cached tables: the
-  // profiling geometry/windows/mode/sampling plan plus every stream-
+  // profiling geometry/windows/sampling rate plus every stream-
   // shaping spec field. Phase parameters (cpi, api, ...) are applied
   // after loading, so they are deliberately excluded.
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -43,18 +43,15 @@ std::string profile_key(const std::vector<TraceAppSpec>& specs,
     mix(buf);
   }
   const auto& g = config.geometry;
-  const auto& sh = config.sampling;
-  char buf[256];
-  std::snprintf(
-      buf, sizeof buf,
-      "dicer-trace-mrc-v1:%016llx:%llu:%u:%u:%llu:%llu:%d:%d:%g:%llu:%llu:%d",
-      static_cast<unsigned long long>(h),
-      static_cast<unsigned long long>(g.size_bytes), g.ways, g.line_bytes,
-      static_cast<unsigned long long>(config.warmup_accesses),
-      static_cast<unsigned long long>(config.measure_accesses),
-      static_cast<int>(config.mode), static_cast<int>(sh.mode), sh.rate,
-      static_cast<unsigned long long>(sh.max_tracked_blocks),
-      static_cast<unsigned long long>(sh.seed), sh.count_correction ? 1 : 0);
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "dicer-trace-mrc-v2:%016llx:%llu:%u:%u:%llu:%llu:%.17g",
+                static_cast<unsigned long long>(h),
+                static_cast<unsigned long long>(g.size_bytes), g.ways,
+                g.line_bytes,
+                static_cast<unsigned long long>(config.warmup_accesses),
+                static_cast<unsigned long long>(config.measure_accesses),
+                config.sampling_rate);
   return buf;
 }
 
@@ -257,16 +254,13 @@ MrcProfilerConfig default_trace_profile_config() {
       .size_bytes = 20ull * 1024 * 1024, .ways = 20, .line_bytes = 64};
   config.warmup_accesses = 400'000;
   config.measure_accesses = 800'000;
-  config.mode = MrcProfilerMode::kSampled;
-  config.sampling = {.mode = ShardsMode::kFixedRate, .rate = 0.25};
+  config.sampling_rate = 0.25;
   return config;
 }
 
 AppProfile profile_trace_app(const TraceAppSpec& spec,
                              const MrcProfilerConfig& config) {
-  const EmpiricalMrc table =
-      profile_mrc(config, [&spec] { return make_trace_stream(spec); });
-  return make_profile(spec, table);
+  return make_profile(spec, profile_mrc(config, *make_trace_stream(spec)));
 }
 
 AppCatalog trace_augmented_catalog(const std::string& cache_path,
@@ -315,9 +309,8 @@ AppCatalog trace_augmented_catalog(const std::string& cache_path,
 
   if (tables.empty()) {
     for (const auto& spec : specs) {
-      const EmpiricalMrc table =
-          profile_mrc(config, [&spec] { return make_trace_stream(spec); });
-      tables[spec.name] = table.points();
+      tables[spec.name] =
+          profile_mrc(config, *make_trace_stream(spec)).points();
     }
     if (!cache_path.empty()) {
       cache.save([&tables](std::ostream& out) {

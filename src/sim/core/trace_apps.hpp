@@ -23,7 +23,7 @@
 
 #include "sim/cache/address_stream.hpp"
 #include "sim/cache/mrc.hpp"
-#include "sim/cache/mrc_profiler.hpp"
+#include "sim/cache/reuse_profiler.hpp"
 #include "sim/core/catalog.hpp"
 
 namespace dicer::sim {
@@ -69,7 +69,7 @@ MissRatioCurve fit_mrc(const EmpiricalMrc& table);
 
 /// Default profiling configuration for trace apps: the nearest
 /// power-of-two-sets geometry to the paper LLC (20 MB / 20-way / 64 B),
-/// SHARDS-sampled single pass.
+/// profiled in one pass over a hash-sampled quarter of the sets.
 MrcProfilerConfig default_trace_profile_config();
 
 /// Profile one spec into a single-phase AppProfile (suite "TRACE").

@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/core/catalog.hpp"
@@ -374,13 +375,30 @@ TEST(FleetCli, NegativeCountFlagsAreRejected) {
     }
   }
   {
-    const char* argv[] = {"fleet_sim", "--machines", "0", "--cores", "4",
+    const char* argv[] = {"fleet_sim", "--machines", "1", "--cores", "4",
                           "--migrate-after", "4294967295"};
     const util::CliArgs args(7, argv);
     const FleetConfig fc = examples::fleet_config_from(args);
-    EXPECT_EQ(fc.num_machines, 0u);
+    EXPECT_EQ(fc.num_machines, 1u);
     EXPECT_EQ(fc.cores_used, 4u);
     EXPECT_EQ(fc.migrate_after, 4294967295u);
+  }
+}
+
+// Values that parse but FleetConfig::validate() rejects are bad flag
+// values too: CliError (exit 2), not the std::invalid_argument (exit 1)
+// the Cluster constructor would throw.
+TEST(FleetCli, ValuesTheConfigRejectsAreCliErrors) {
+  const std::vector<std::pair<const char*, const char*>> bad = {
+      {"--slo", "-1"},          {"--slo", "1.5"},
+      {"--epoch", "inf"},       {"--epoch", "0"},
+      {"--arrival-rate", "nan"}, {"--mean-lifetime", "-2"},
+      {"--machines", "0"},      {"--cores", "1"}};
+  for (const auto& [key, value] : bad) {
+    const char* argv[] = {"fleet_sim", key, value};
+    const util::CliArgs args(3, argv);
+    EXPECT_THROW(examples::fleet_config_from(args), util::CliError)
+        << key << " " << value;
   }
 }
 

@@ -4,14 +4,13 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <initializer_list>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "exact_replay_oracle.hpp"
 #include "sim/cache/address_stream.hpp"
-#include "sim/cache/mrc_profiler.hpp"
 #include "util/rng.hpp"
 
 namespace dicer::sim {
@@ -24,8 +23,6 @@ constexpr std::uint64_t MB = 1024 * 1024;
 CacheGeometry small20() {
   return {.size_bytes = 5 * MB / 2, .ways = 20, .line_bytes = 64};
 }
-
-using StreamFactory = std::function<std::unique_ptr<AddressStream>()>;
 
 std::vector<std::pair<const char*, StreamFactory>> stream_families() {
   return {
@@ -49,22 +46,20 @@ std::vector<std::pair<const char*, StreamFactory>> stream_families() {
   };
 }
 
-MrcProfilerConfig base_config(MrcProfilerMode mode) {
+MrcProfilerConfig base_config(double sampling_rate = 1.0) {
   MrcProfilerConfig config;
   config.geometry = small20();
   config.warmup_accesses = 50'000;
   config.measure_accesses = 100'000;
-  config.mode = mode;
+  config.sampling_rate = sampling_rate;
   return config;
 }
 
 TEST(ReuseProfiler, SinglePassMatchesExactReplayBitForBit) {
   for (const auto& [name, make_stream] : stream_families()) {
     SCOPED_TRACE(name);
-    auto exact_cfg = base_config(MrcProfilerMode::kExactReplay);
-    const auto exact = profile_mrc(exact_cfg, make_stream);
-    const auto fast =
-        profile_mrc(base_config(MrcProfilerMode::kSinglePass), make_stream);
+    const auto exact = exact_replay_mrc(base_config(), make_stream);
+    const auto fast = profile_mrc(base_config(), *make_stream());
     ASSERT_EQ(exact.size(), fast.size());
     for (std::size_t i = 0; i < exact.size(); ++i) {
       EXPECT_EQ(exact.points()[i].first, fast.points()[i].first);
@@ -75,83 +70,49 @@ TEST(ReuseProfiler, SinglePassMatchesExactReplayBitForBit) {
   }
 }
 
-TEST(ReuseProfiler, ExactReplayByteIdenticalAtAnyWorkerCount) {
-  for (const auto& [name, make_stream] : stream_families()) {
-    SCOPED_TRACE(name);
-    auto serial_cfg = base_config(MrcProfilerMode::kExactReplay);
-    serial_cfg.jobs = 1;
-    auto parallel_cfg = serial_cfg;
-    parallel_cfg.jobs = 4;
-    const auto serial = profile_mrc(serial_cfg, make_stream);
-    const auto parallel = profile_mrc(parallel_cfg, make_stream);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial.points()[i].first, parallel.points()[i].first);
-      EXPECT_EQ(serial.points()[i].second, parallel.points()[i].second);
-    }
-  }
-}
-
 TEST(ReuseProfiler, FixedRateSamplingWithinTolerance) {
   for (const auto& [name, make_stream] : stream_families()) {
     SCOPED_TRACE(name);
-    const auto exact =
-        profile_mrc(base_config(MrcProfilerMode::kSinglePass), make_stream);
-    auto cfg = base_config(MrcProfilerMode::kSampled);
-    cfg.sampling = {.mode = ShardsMode::kFixedRate, .rate = 0.125};
-    const auto sampled = profile_mrc(cfg, make_stream);
+    const auto exact = profile_mrc(base_config(), *make_stream());
+    const auto sampled = profile_mrc(base_config(0.125), *make_stream());
     ASSERT_EQ(exact.size(), sampled.size());
     for (std::size_t i = 0; i < exact.size(); ++i) {
       EXPECT_NEAR(exact.points()[i].second, sampled.points()[i].second, 0.02);
     }
   }
-}
-
-TEST(ReuseProfiler, FixedSizeSamplingWithinTolerance) {
-  for (const auto& [name, make_stream] : stream_families()) {
-    SCOPED_TRACE(name);
-    const auto exact =
-        profile_mrc(base_config(MrcProfilerMode::kSinglePass), make_stream);
-    auto cfg = base_config(MrcProfilerMode::kSampled);
-    cfg.sampling = {.mode = ShardsMode::kFixedSize,
-                    .max_tracked_blocks = 4096};
-    const auto sampled = profile_mrc(cfg, make_stream);
-    ASSERT_EQ(exact.size(), sampled.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_NEAR(exact.points()[i].second, sampled.points()[i].second, 0.02);
-    }
-  }
-}
-
-TEST(ReuseProfiler, FixedSizeRespectsBudgetAndAdaptsRate) {
-  ReuseProfiler profiler(
-      small20(),
-      {.mode = ShardsMode::kFixedSize, .max_tracked_blocks = 2048});
-  WorkingSetStream stream(MB, 0, util::Xoshiro256(21));
-  for (int i = 0; i < 50'000; ++i) profiler.access(stream.next());
-  profiler.begin_measurement();
-  for (int i = 0; i < 100'000; ++i) profiler.access(stream.next());
-  const auto st = profiler.stats();
-  // A 1 MB working set holds ~16k blocks, far over the 2048 budget: the
-  // profiler must have evicted sets and lowered the sampling rate.
-  EXPECT_LE(st.distinct_blocks, 2048u);
-  EXPECT_GT(st.evicted_sets, 0u);
-  EXPECT_LT(st.sample_rate, 1.0);
-  EXPECT_GE(st.sampled_sets, 1u);
 }
 
 TEST(ReuseProfiler, SamplingIsDeterministic) {
-  auto cfg = base_config(MrcProfilerMode::kSampled);
-  cfg.sampling = {.mode = ShardsMode::kFixedRate, .rate = 0.125, .seed = 99};
+  const auto cfg = base_config(0.125);
   auto make_stream = [] {
     return std::make_unique<MixedStream>(MB, 0.6, 0, util::Xoshiro256(31));
   };
-  const auto a = profile_mrc(cfg, make_stream);
-  const auto b = profile_mrc(cfg, make_stream);
+  const auto a = profile_mrc(cfg, *make_stream());
+  const auto b = profile_mrc(cfg, *make_stream());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.points()[i].second, b.points()[i].second);
   }
+}
+
+TEST(ReuseProfiler, SampledHistogramCarriesTheCountCorrection) {
+  ReuseProfiler profiler(small20(), 0.25);
+  WorkingSetStream stream(MB, 0, util::Xoshiro256(44));
+  for (int i = 0; i < 10'000; ++i) profiler.access(stream.next());
+  profiler.begin_measurement();
+  for (int i = 0; i < 40'000; ++i) profiler.access(stream.next());
+  const auto st = profiler.stats();
+  EXPECT_LT(st.sampled_sets, st.sets);
+  EXPECT_EQ(st.sample_rate, static_cast<double>(st.sampled_sets) /
+                                static_cast<double>(st.sets));
+  EXPECT_LT(st.sampled, st.measured);
+  // SHARDS-adj: the corrected histogram holds exactly the expected sampled
+  // count, and stats() reports the shift it applied to bucket 0.
+  const auto hist = profiler.histogram();
+  double total = 0.0;
+  for (double h : hist) total += h;
+  EXPECT_DOUBLE_EQ(total, static_cast<double>(st.measured) * st.sample_rate);
+  EXPECT_DOUBLE_EQ(total - static_cast<double>(st.sampled), st.correction);
 }
 
 TEST(ReuseProfiler, UnsampledHistogramAccountsEveryMeasuredAccess) {
@@ -165,6 +126,8 @@ TEST(ReuseProfiler, UnsampledHistogramAccountsEveryMeasuredAccess) {
   EXPECT_EQ(st.measured, 20'000u);
   EXPECT_EQ(st.sampled, 20'000u);  // every set sampled
   EXPECT_EQ(st.sample_rate, 1.0);
+  EXPECT_EQ(st.sampled_sets, st.sets);
+  EXPECT_EQ(st.correction, 0.0);
   const auto hist = profiler.histogram();
   double total = 0.0;
   for (double h : hist) total += h;
@@ -181,14 +144,9 @@ TEST(ReuseProfiler, WarmupOnlyBuildsStateNotCounts) {
 }
 
 TEST(ReuseProfiler, RejectsBadConfigs) {
-  EXPECT_THROW(ReuseProfiler(small20(), {.mode = ShardsMode::kFixedRate,
-                                         .rate = 0.0}),
-               std::invalid_argument);
-  EXPECT_THROW(ReuseProfiler(small20(), {.mode = ShardsMode::kFixedRate,
-                                         .rate = 1.5}),
-               std::invalid_argument);
-  EXPECT_THROW(ReuseProfiler(small20(), {.mode = ShardsMode::kFixedSize,
-                                         .max_tracked_blocks = 0}),
+  EXPECT_THROW(ReuseProfiler(small20(), 0.0), std::invalid_argument);
+  EXPECT_THROW(ReuseProfiler(small20(), 1.5), std::invalid_argument);
+  EXPECT_THROW(ReuseProfiler(small20(), std::nan("")),
                std::invalid_argument);
   EXPECT_THROW(
       ReuseProfiler({.size_bytes = MB, .ways = 33, .line_bytes = 64}),
@@ -199,95 +157,18 @@ TEST(ReuseProfiler, RejectsBadConfigs) {
 }
 
 TEST(ReuseProfiler, TinyRateStillSamplesAtLeastOneSet) {
-  ReuseProfiler profiler(small20(), {.mode = ShardsMode::kFixedRate,
-                                     .rate = 1e-12});
+  ReuseProfiler profiler(small20(), 1e-12);
   WorkingSetStream stream(MB, 0, util::Xoshiro256(43));
   for (int i = 0; i < 1'000; ++i) profiler.access(stream.next());
   profiler.begin_measurement();
   for (int i = 0; i < 50'000; ++i) profiler.access(stream.next());
-  EXPECT_GE(profiler.stats().sampled_sets, 1u);
+  EXPECT_EQ(profiler.stats().sampled_sets, 1u);
   // The curve is still a valid MRC (degenerate but in range).
   const auto mrc = profiler.mrc();
   for (const auto& [bytes, miss] : mrc.points()) {
     EXPECT_GE(miss, 0.0);
     EXPECT_LE(miss, 1.0);
   }
-}
-
-// --- FullyAssociativeProfiler ---------------------------------------------
-
-std::vector<double> grid_mb(std::initializer_list<double> mbs) {
-  std::vector<double> out;
-  for (double m : mbs) out.push_back(m * MB);
-  return out;
-}
-
-TEST(FullyAssociativeProfiler, WorkingSetCurveHasTheRightKnee) {
-  FullyAssociativeProfiler profiler(
-      64, grid_mb({0.25, 0.5, 0.75, 1.0, 1.25}));
-  WorkingSetStream stream(MB, 0, util::Xoshiro256(51));
-  for (int i = 0; i < 100'000; ++i) profiler.access(stream.next());
-  profiler.begin_measurement();
-  for (int i = 0; i < 200'000; ++i) profiler.access(stream.next());
-  const auto mrc = profiler.mrc();
-  ASSERT_EQ(mrc.size(), 5u);
-  // Uniform reuse over 1 MB: holding a fraction c of it hits with
-  // probability ~c, so miss(0.25 MB) ~ 0.75 etc., and ~0 past the set.
-  EXPECT_NEAR(mrc.points()[0].second, 0.75, 0.03);
-  EXPECT_NEAR(mrc.points()[1].second, 0.50, 0.03);
-  EXPECT_NEAR(mrc.points()[3].second, 0.0, 0.02);
-  EXPECT_NEAR(mrc.points()[4].second, 0.0, 0.02);
-  EXPECT_LE(mrc.monotonicity_violation(), 1e-12);
-}
-
-TEST(FullyAssociativeProfiler, StreamingMissesAtEveryCapacity) {
-  FullyAssociativeProfiler profiler(64, grid_mb({0.5, 1.0, 2.0}));
-  StreamingStream stream(64 * MB, 64, 0);
-  for (int i = 0; i < 20'000; ++i) profiler.access(stream.next());
-  profiler.begin_measurement();
-  for (int i = 0; i < 100'000; ++i) profiler.access(stream.next());
-  const auto mrc = profiler.mrc();
-  for (const auto& [bytes, miss] : mrc.points()) {
-    EXPECT_GT(miss, 0.99);
-  }
-}
-
-TEST(FullyAssociativeProfiler, SampledCurveTracksExact) {
-  const auto grid = grid_mb({0.25, 0.5, 0.75, 1.0, 1.25});
-  auto run = [&](const ShardsConfig& sampling) {
-    FullyAssociativeProfiler profiler(64, grid, sampling);
-    BimodalStream stream(MB / 2, 2 * MB, 0.8, 0, util::Xoshiro256(52));
-    for (int i = 0; i < 100'000; ++i) profiler.access(stream.next());
-    profiler.begin_measurement();
-    for (int i = 0; i < 200'000; ++i) profiler.access(stream.next());
-    return profiler.mrc();
-  };
-  const auto exact = run({});
-  const auto sampled =
-      run({.mode = ShardsMode::kFixedRate, .rate = 0.125, .seed = 7});
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_NEAR(exact.points()[i].second, sampled.points()[i].second, 0.05);
-  }
-}
-
-TEST(FullyAssociativeProfiler, FixedSizeBoundsTrackedBlocks) {
-  FullyAssociativeProfiler profiler(
-      64, grid_mb({0.5, 1.0}),
-      {.mode = ShardsMode::kFixedSize, .max_tracked_blocks = 1024});
-  WorkingSetStream stream(4 * MB, 0, util::Xoshiro256(53));
-  for (int i = 0; i < 50'000; ++i) profiler.access(stream.next());
-  profiler.begin_measurement();
-  for (int i = 0; i < 100'000; ++i) profiler.access(stream.next());
-  EXPECT_LE(profiler.distinct_blocks(), 1024u);
-  EXPECT_LT(profiler.sample_rate(), 1.0);
-}
-
-TEST(FullyAssociativeProfiler, RejectsBadGrids) {
-  EXPECT_THROW(FullyAssociativeProfiler(64, {}), std::invalid_argument);
-  EXPECT_THROW(FullyAssociativeProfiler(64, {1.0 * MB, 0.5 * MB}),
-               std::invalid_argument);
-  EXPECT_THROW(FullyAssociativeProfiler(48, {1.0 * MB}),
-               std::invalid_argument);
 }
 
 }  // namespace

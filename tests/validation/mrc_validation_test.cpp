@@ -4,14 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <functional>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
+#include "../sim/exact_replay_oracle.hpp"
 #include "sim/cache/mrc.hpp"
-#include "sim/cache/mrc_profiler.hpp"
+#include "sim/cache/reuse_profiler.hpp"
 
 namespace dicer::sim {
 namespace {
@@ -29,9 +28,8 @@ TEST(MrcValidation, WorkingSetStreamKneeAtWorkingSet) {
   // below ~1 MB of allocation and near zero above it.
   const auto cfg = small_cache();
   const std::uint64_t ws = 1 << 20;
-  const auto mrc = profile_mrc(cfg, [&] {
-    return std::make_unique<WorkingSetStream>(ws, 0, util::Xoshiro256(42));
-  });
+  WorkingSetStream stream(ws, 0, util::Xoshiro256(42));
+  const auto mrc = profile_mrc(cfg, stream);
   ASSERT_EQ(mrc.size(), 16u);
   EXPECT_GT(mrc.at(128.0 * 1024), 0.5);
   EXPECT_LT(mrc.at(1.75 * 1024 * 1024), 0.05);
@@ -43,9 +41,8 @@ TEST(MrcValidation, WorkingSetMatchesLinearCoverageCurve) {
   // tracks the analytic one within a loose band at every way count.
   const auto cfg = small_cache();
   const std::uint64_t ws = 1 << 20;
-  const auto empirical = profile_mrc(cfg, [&] {
-    return std::make_unique<WorkingSetStream>(ws, 0, util::Xoshiro256(7));
-  });
+  WorkingSetStream stream(ws, 0, util::Xoshiro256(7));
+  const auto empirical = profile_mrc(cfg, stream);
   const auto analytic =
       MissRatioCurve::single_knee(1.0, static_cast<double>(ws), 0.0, 1.0);
   for (const auto& [bytes, miss] : empirical.points()) {
@@ -56,9 +53,8 @@ TEST(MrcValidation, WorkingSetMatchesLinearCoverageCurve) {
 
 TEST(MrcValidation, StreamingIsFlatAndHigh) {
   const auto cfg = small_cache();
-  const auto mrc = profile_mrc(cfg, [&] {
-    return std::make_unique<StreamingStream>(64ull << 20, 64, 0);
-  });
+  StreamingStream stream(64ull << 20, 64, 0);
+  const auto mrc = profile_mrc(cfg, stream);
   for (const auto& [bytes, miss] : mrc.points()) {
     EXPECT_GT(miss, 0.95) << "at " << bytes;
   }
@@ -68,10 +64,8 @@ TEST(MrcValidation, StreamingIsFlatAndHigh) {
 TEST(MrcValidation, BimodalShowsTwoPlateaus) {
   const auto cfg = small_cache();
   const std::uint64_t hot = 256 << 10, cold = 4 << 20;
-  const auto mrc = profile_mrc(cfg, [&] {
-    return std::make_unique<BimodalStream>(hot, cold, 0.8, 0,
-                                           util::Xoshiro256(3));
-  });
+  BimodalStream stream(hot, cold, 0.8, 0, util::Xoshiro256(3));
+  const auto mrc = profile_mrc(cfg, stream);
   // Covering the hot set (~256 KiB) removes ~80% of misses.
   const double at_hot = mrc.at(512.0 * 1024);
   EXPECT_LT(at_hot, 0.35);
@@ -81,23 +75,21 @@ TEST(MrcValidation, BimodalShowsTwoPlateaus) {
 TEST(MrcValidation, EmpiricalCurvesMonotone) {
   const auto cfg = small_cache();
   for (int seed : {1, 2}) {
-    const auto mrc = profile_mrc(cfg, [&] {
-      return std::make_unique<MixedStream>(1 << 20, 0.7, 0,
-                                           util::Xoshiro256(
-                                               static_cast<std::uint64_t>(seed)));
-    });
+    MixedStream stream(1 << 20, 0.7, 0,
+                       util::Xoshiro256(static_cast<std::uint64_t>(seed)));
+    const auto mrc = profile_mrc(cfg, stream);
     EXPECT_LT(mrc.monotonicity_violation(), 0.05);
   }
 }
 
 // --- Single-pass profiler acceptance --------------------------------------
 //
-// The issue's acceptance bar for the reuse-distance profiler, enforced on
-// the 20-way validation geometry (2.5 MB / 20-way / 64 B = 2048 sets)
-// across every AddressStream family:
-//  * kSinglePass is byte-identical to the exact replay oracle;
-//  * kSampled stays within 0.02 absolute miss ratio of the oracle at
-//    every way count, for both fixed-rate and fixed-size plans.
+// The acceptance bar for the reuse-distance profiler, enforced on the
+// 20-way validation geometry (2.5 MB / 20-way / 64 B = 2048 sets) across
+// every AddressStream family, against the per-way replay oracle:
+//  * at sampling rate 1 the curve is byte-identical to the oracle;
+//  * at rate 1/8 it stays within 0.02 absolute miss ratio of the oracle
+//    at every way count.
 
 MrcProfilerConfig accept20() {
   MrcProfilerConfig cfg;
@@ -107,8 +99,6 @@ MrcProfilerConfig accept20() {
   cfg.measure_accesses = 200'000;
   return cfg;
 }
-
-using StreamFactory = std::function<std::unique_ptr<AddressStream>()>;
 
 constexpr std::uint64_t MB = 1 << 20;
 
@@ -137,12 +127,8 @@ std::vector<std::pair<const char*, StreamFactory>> accept_families() {
 TEST(MrcValidation, SinglePassIsByteIdenticalToOracleOnAllFamilies) {
   for (const auto& [name, make_stream] : accept_families()) {
     SCOPED_TRACE(name);
-    auto exact_cfg = accept20();
-    exact_cfg.mode = MrcProfilerMode::kExactReplay;
-    auto fast_cfg = accept20();
-    fast_cfg.mode = MrcProfilerMode::kSinglePass;
-    const auto oracle = profile_mrc(exact_cfg, make_stream);
-    const auto fast = profile_mrc(fast_cfg, make_stream);
+    const auto oracle = exact_replay_mrc(accept20(), make_stream);
+    const auto fast = profile_mrc(accept20(), *make_stream());
     ASSERT_EQ(oracle.size(), 20u);
     ASSERT_EQ(fast.size(), 20u);
     for (std::size_t i = 0; i < 20; ++i) {
@@ -154,27 +140,17 @@ TEST(MrcValidation, SinglePassIsByteIdenticalToOracleOnAllFamilies) {
 }
 
 TEST(MrcValidation, SampledProfilerWithin2PercentOfOracleOnAllFamilies) {
-  const std::vector<std::pair<const char*, ShardsConfig>> plans = {
-      {"fixed_rate", {.mode = ShardsMode::kFixedRate, .rate = 0.125}},
-      {"fixed_size",
-       {.mode = ShardsMode::kFixedSize, .max_tracked_blocks = 8192}},
-  };
-  for (const auto& [fname, make_stream] : accept_families()) {
-    auto oracle_cfg = accept20();
-    oracle_cfg.mode = MrcProfilerMode::kExactReplay;
-    const auto oracle = profile_mrc(oracle_cfg, make_stream);
-    for (const auto& [pname, plan] : plans) {
-      SCOPED_TRACE(std::string(fname) + "/" + pname);
-      auto cfg = accept20();
-      cfg.mode = MrcProfilerMode::kSampled;
-      cfg.sampling = plan;
-      const auto sampled = profile_mrc(cfg, make_stream);
-      ASSERT_EQ(sampled.size(), oracle.size());
-      for (std::size_t i = 0; i < oracle.size(); ++i) {
-        EXPECT_NEAR(sampled.points()[i].second, oracle.points()[i].second,
-                    0.02)
-            << "way count " << i + 1;
-      }
+  for (const auto& [name, make_stream] : accept_families()) {
+    SCOPED_TRACE(name);
+    const auto oracle = exact_replay_mrc(accept20(), make_stream);
+    auto cfg = accept20();
+    cfg.sampling_rate = 0.125;
+    const auto sampled = profile_mrc(cfg, *make_stream());
+    ASSERT_EQ(sampled.size(), oracle.size());
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      EXPECT_NEAR(sampled.points()[i].second, oracle.points()[i].second,
+                  0.02)
+          << "way count " << i + 1;
     }
   }
 }
@@ -186,17 +162,13 @@ TEST(MrcValidation, SinglePassIsMuchFasterThanSerialOracle) {
     return std::make_unique<WorkingSetStream>(1 << 20, 0,
                                               util::Xoshiro256(42));
   };
-  auto exact_cfg = accept20();
-  exact_cfg.mode = MrcProfilerMode::kExactReplay;
-  exact_cfg.jobs = 1;
-  auto fast_cfg = accept20();
-  fast_cfg.mode = MrcProfilerMode::kSinglePass;
+  const auto cfg = accept20();
   // Warm both paths once (allocators, stream code), then time.
-  profile_mrc(fast_cfg, make_stream);
+  profile_mrc(cfg, *make_stream());
   const auto t0 = std::chrono::steady_clock::now();
-  profile_mrc(exact_cfg, make_stream);
+  exact_replay_mrc(cfg, make_stream);
   const auto t1 = std::chrono::steady_clock::now();
-  profile_mrc(fast_cfg, make_stream);
+  profile_mrc(cfg, *make_stream());
   const auto t2 = std::chrono::steady_clock::now();
   const double exact_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -210,10 +182,8 @@ TEST(MrcValidation, PartitionedProfileSeesOnlyItsWays) {
   // Profiling with w ways in an n-way cache equals profiling a cache of
   // w/n capacity — way partitioning scales capacity linearly.
   MrcProfilerConfig big = small_cache();
-  const auto mrc = profile_mrc(big, [&] {
-    return std::make_unique<WorkingSetStream>(1 << 20, 0,
-                                              util::Xoshiro256(11));
-  });
+  WorkingSetStream stream(1 << 20, 0, util::Xoshiro256(11));
+  const auto mrc = profile_mrc(big, stream);
   // 8 of 16 ways = 1 MB for a 1 MB working set: conflict misses make it
   // imperfect but most accesses should hit.
   EXPECT_LT(mrc.at(1024.0 * 1024), 0.45);
